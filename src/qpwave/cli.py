@@ -281,8 +281,8 @@ def _cmd_greens(args) -> int:
     doc = prof.to_json_dict()
     doc["effective_config"] = rec.config.to_json_dict()
     _atomic_write(os.path.join(args.out, "greens.json"), _dump_json(doc))
-    print(f"op_norm_inverse={prof.op_norm_inverse!r} beta={prof.decay.rate!r} "
-          f"fit_rms={prof.decay.residual_rms!r}")
+    print(f"op_norm_inverse={prof.op_norm_inverse!r} beta={doc['beta']!r} "
+          f"fit_rms={doc['fit_rms']!r}")
     return 0
 
 

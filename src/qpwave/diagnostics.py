@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import lattice, linop, solver
 from .lattice import Frequency, Index, Region
@@ -86,36 +85,6 @@ class ThetaSweepResult:
         }
 
 
-def _inverse_norm_via_lu(off_diag: np.ndarray, diag: np.ndarray,
-                         rel_tol: float = 1e-6, max_iter: int = 300) -> float:
-    """Operator norm of the inverse of (off_diag + diag) by power iteration
-    on the factorized inverse; inf when the factorization degenerates."""
-    n = len(diag)
-    M = off_diag.copy()
-    idx = np.diag_indices(n)
-    M[idx] += diag
-    s = linop._scaling(M[idx])
-    S = M / np.outer(s, s)
-    try:
-        lu = linop._lu_quiet(S)
-    except sla.LinAlgError:
-        return math.inf
-    v = np.ones(n) / math.sqrt(n)
-    est = 0.0
-    for _ in range(max_iter):
-        w = sla.lu_solve(lu, v / s, check_finite=False) / s
-        nrm = float(np.linalg.norm(w))
-        if not math.isfinite(nrm):
-            return math.inf
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        if est > 0 and abs(nrm - est) <= rel_tol * est:
-            return nrm
-        est = nrm
-    return est
-
-
 def theta_bad_fraction(u: QPSeries, E: float, lam: Frequency, N: int, axis: int,
                        grid_step: float, norm_threshold: float,
                        theta_fixed=None, p: int = 1, jtilde=None) -> ThetaSweepResult:
@@ -138,8 +107,9 @@ def theta_bad_fraction(u: QPSeries, E: float, lam: Frequency, N: int, axis: int,
     else:
         region = Region.box_minus(N, lattice.orbit(tuple(jtilde)))
     T0 = linop.assemble(u, E, lam, tuple(base_theta), region, p)
-    off = T0.to_dense().copy()
-    off[np.diag_indices(T0.n)] -= T0.diag
+    # theta moves only the diagonal: keep the assembled pattern and swap it
+    M = T0.matrix().copy()
+    kernel_diag = M.diagonal() - T0.diag
     inners = lattice.block_inners_array(T0.sites, lam)
 
     thetas = np.arange(-2.0, 2.0 + grid_step / 2, grid_step)
@@ -148,8 +118,8 @@ def theta_bad_fraction(u: QPSeries, E: float, lam: Frequency, N: int, axis: int,
         th = np.array(base_theta)
         th[axis - 1] = t
         shifted = inners + th
-        diag = np.sum(shifted * shifted, axis=1) - E
-        inv_norms[i] = _inverse_norm_via_lu(off, diag)
+        M.setdiag(kernel_diag + (np.sum(shifted * shifted, axis=1) - E))
+        inv_norms[i] = linop.inverse_norm(M)
     bad = ~np.isfinite(inv_norms) | (inv_norms > norm_threshold)
     return ThetaSweepResult(
         axis=axis, grid_step=grid_step, grid_start=float(thetas[0]),

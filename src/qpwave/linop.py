@@ -10,41 +10,39 @@ is theta-independent.  Translating the site list by j0 is exactly
 equivalent to shifting theta_k by j0_k . lambda_k, which
 covariance_discrepancy measures.
 
-Two realizations coexist:
+Each site set has one sparse realization, assembled once from COO triplets
+(the diagonal, plus one entry per site and kernel offset whose source lands
+in the set) into a CSC matrix cached by matrix().  Two site sets occur:
 
-* the full matrix on an explicit site list, needed for theta-shifted
-  diagnostics (the sign-flip symmetry is broken when theta != 0), for
-  Green's-function decay profiles, and for the covariance identity;
-* a symmetry-reduced matrix on canonical orbit representatives (weighted to
-  stay symmetric), used by the Newton solver at theta = 0 where the
-  symmetric subspace is invariant.
+* LinearizedOperator, the full matrix on an explicit site list, needed for
+  theta-shifted diagnostics (the sign-flip symmetry is broken when
+  theta != 0), for Green's-function decay profiles, and for the covariance
+  identity; it is exactly symmetric;
+* ReducedOperator, the matrix on canonical orbit representatives at
+  theta = 0, where the symmetric subspace is invariant, used by the Newton
+  solver; the kernel is summed over each source orbit and rows and columns
+  are weighted by sqrt(orbit size) so it stays symmetric.
 
-Linear solves are diagonally scaled, factorized, and iteratively refined;
-the residual contract is enforced on every return and its violation is the
-resonance signal SingularOperator.
+Every linear solve is one SuperLU factorization of the diagonally scaled
+matrix plus at most four steps of iterative refinement; the residual
+contract is enforced on every return, and its violation, like an exactly
+singular factor, is the resonance signal SingularOperator.  As T is
+symmetric, ||T^-1||_2 = 1 / min|eig T|, which inverse_norm reads off as the
+largest-magnitude eigenvalue of the factorized inverse.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import lattice
 from .lattice import Frequency, Index, Region
-from .series import DecayFit, QPSeries, conv_power, fit_shell_decay
-
-# Largest reduced dimension handled by direct factorization; beyond it the
-# solver switches to the diagonally scaled MINRES path.
-DENSE_DIMENSION_CAP = 20000
-
-# Hard iteration cap for the iterative strategy, in units of the dimension.
-ITERATIVE_CAP_FACTOR = 10
+from .series import DecayFit, InsufficientData, QPSeries, conv_power, fit_shell_decay
 
 # A solve whose floating-point residual floor exceeds this has no
 # significant digits left; treat it as resonance.
@@ -68,6 +66,33 @@ def _kernel_series(u: QPSeries, p: int, radius: int) -> QPSeries:
     return conv_power(u, 2 * p, box).scale(2.0 * p + 1.0)
 
 
+def _lookup(codes: np.ndarray, sorted_codes: np.ndarray):
+    """Positions of codes in sorted_codes, and which of them are present."""
+    pos = np.minimum(np.searchsorted(sorted_codes, codes), len(sorted_codes) - 1)
+    return pos, sorted_codes[pos] == codes
+
+
+def _sparse_matrix(diag: np.ndarray, kernel: QPSeries, sites: np.ndarray, locate) -> sp.csc_matrix:
+    """diag on the diagonal minus kernel(off) at every (row, col) that
+    locate(sites - off) returns; entries sharing a position are summed."""
+    n = len(diag)
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.asarray(diag, dtype=float)]
+    for off, val in kernel.items_sorted():
+        r, c = locate(sites - np.asarray(off, dtype=np.int64))
+        rows.append(r)
+        cols.append(c)
+        vals.append(np.full(len(r), -val))
+    coo = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    return coo.tocsc()
+
+
+def _coords(M: sp.csc_matrix):
+    """Row and column index of every stored entry of a CSC matrix."""
+    return M.indices, np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
+
+
 class LinearizedOperator:
     """Full realization on an explicit, lexicographically ordered site list."""
 
@@ -83,7 +108,7 @@ class LinearizedOperator:
         self.region = region            # Region when built from one, else None
         self._bound = int(np.max(np.abs(sites))) if len(sites) else 0
         self._codes = lattice.encode(sites, self._kernel_bound())
-        self._dense = None
+        self._matrix = None
 
     def _kernel_bound(self) -> int:
         kr = self.kernel.support_radius()
@@ -96,32 +121,18 @@ class LinearizedOperator:
     def site_index(self) -> dict[Index, int]:
         return {tuple(s): i for i, s in enumerate(self.sites)}
 
-    def entry(self, j: Index, j2: Index) -> float:
-        val = -self.kernel.get(tuple(a - b for a, b in zip(j, j2)))
-        if j == j2:
-            i = int(np.searchsorted(self._codes, lattice.encode(np.array([j]), self._kernel_bound())[0]))
-            val += self.diag[i]
-        return val
+    def _locate(self, src: np.ndarray):
+        pos, hit = _lookup(lattice.encode(src, self._kernel_bound()), self._codes)
+        return np.nonzero(hit)[0], pos[hit]
+
+    def matrix(self) -> sp.csc_matrix:
+        """The operator as a CSC matrix, assembled on first use."""
+        if self._matrix is None:
+            self._matrix = _sparse_matrix(self.diag, self.kernel, self.sites, self._locate)
+        return self._matrix
 
     def to_dense(self) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense
-        n = self.n
-        M = np.zeros((n, n))
-        M[np.diag_indices(n)] = self.diag
-        bound = self._kernel_bound()
-        for off, val in self.kernel.items_sorted():
-            src = self.sites - np.asarray(off, dtype=np.int64)
-            if np.max(np.abs(src)) > bound:
-                continue
-            codes = lattice.encode(src, bound)
-            pos = np.searchsorted(self._codes, codes)
-            pos_c = np.minimum(pos, n - 1)
-            hit = self._codes[pos_c] == codes
-            rows = np.nonzero(hit)[0]
-            M[rows, pos_c[hit]] -= val
-        self._dense = M
-        return M
+        return self.matrix().toarray()
 
 
 def assemble(u: QPSeries, E: float, lam: Frequency, theta, region, p: int) -> LinearizedOperator:
@@ -150,16 +161,7 @@ def apply(T: LinearizedOperator, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (T.n,):
         raise ValueError(f"vector has shape {v.shape}, operator expects ({T.n},)")
-    out = T.diag * v
-    bound = T._kernel_bound()
-    for off, val in T.kernel.items_sorted():
-        src = T.sites - np.asarray(off, dtype=np.int64)
-        codes = lattice.encode(src, bound)
-        pos = np.searchsorted(T._codes, codes)
-        pos_c = np.minimum(pos, T.n - 1)
-        hit = T._codes[pos_c] == codes
-        out[hit] -= val * v[pos_c[hit]]
-    return out
+    return T.matrix() @ v
 
 
 def _scaling(diag_of_matrix: np.ndarray) -> np.ndarray:
@@ -169,12 +171,24 @@ def _scaling(diag_of_matrix: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(mags, floor))
 
 
-def _lu_quiet(S: np.ndarray):
-    """LU factorization with scipy's exact-singularity warning silenced;
-    degenerate pivots surface as non-finite solves, handled by callers."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        return sla.lu_factor(S, check_finite=False)
+def _factorize(M: sp.csc_matrix):
+    """b -> M^-1 b through the SuperLU factors of D^-1 M D^-1, where
+    D = _scaling(diag M).  An exactly singular factor raises
+    SingularOperator; near-singular ones surface as non-finite or
+    contract-violating solves, which the callers check."""
+    s = _scaling(M.diagonal())
+    rows, cols = _coords(M)
+    S = sp.csc_matrix((M.data / (s[rows] * s[cols]), M.indices, M.indptr), shape=M.shape)
+    try:
+        lu = spla.splu(S)
+    except RuntimeError as exc:
+        raise SingularOperator(f"factorization failed: {exc}") from exc
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        sc = s.reshape((-1,) + (1,) * (b.ndim - 1))
+        return lu.solve(b / sc) / sc
+
+    return solve
 
 
 def _residual_contract(M_mul, w, rhs, tol, norm_est):
@@ -199,26 +213,17 @@ def _residual_contract(M_mul, w, rhs, tol, norm_est):
     return r, rel, max(tol, floor)
 
 
-def _solve_scaled_dense(M: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
+def _solve_scaled(M: sp.csc_matrix, rhs: np.ndarray, tol: float) -> np.ndarray:
     """Factorize a diagonally scaled copy and iteratively refine.
 
-    Raises SingularOperator when the residual contract (tol, or the
-    floating-point floor of the instance if larger) cannot be met.
+    Raises SingularOperator when the factor is singular or the residual
+    contract (tol, or the floating-point floor of the instance if larger)
+    cannot be met.
     """
-    n = M.shape[0]
     if np.linalg.norm(rhs) == 0.0:
-        return np.zeros(n)
-    s = _scaling(np.diag(M))
-    S = M / np.outer(s, s)
-    try:
-        lu = _lu_quiet(S)
-    except sla.LinAlgError as exc:
-        raise SingularOperator(f"factorization failed: {exc}") from exc
-    norm_est = float(np.abs(M).sum(axis=1).max())
-
-    def solve_once(b):
-        z = sla.lu_solve(lu, b / s, check_finite=False)
-        return z / s
+        return np.zeros(M.shape[0])
+    solve_once = _factorize(M)
+    norm_est = float(abs(M).sum(axis=1).max())
 
     w = solve_once(rhs)
     if not np.all(np.isfinite(w)):
@@ -243,79 +248,44 @@ def _solve_scaled_dense(M: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarra
     return w
 
 
-def _solve_scaled_iterative(M_csr, rhs: np.ndarray, tol: float, maxiter: int) -> np.ndarray | None:
-    """Diagonally scaled MINRES; returns None on stagnation."""
-    if np.linalg.norm(rhs) == 0.0:
-        return np.zeros(M_csr.shape[0])
-    diag = M_csr.diagonal()
-    s = _scaling(diag)
-    inv_s = 1.0 / s
-    Dinv = sp.diags(inv_s)
-    S = (Dinv @ M_csr @ Dinv).tocsr()
-    # symmetrize away round-off so MINRES sees an exactly symmetric matrix
-    S = (S + S.T) * 0.5
-    b = rhs * inv_s
-    norm_est = float(np.abs(M_csr).sum(axis=1).max())
-    z = np.zeros_like(b)
-    for _ in range(3):
-        dz, info = spla.minres(S, b - S @ z, rtol=max(tol, 1e-14), maxiter=maxiter)
-        z = z + dz
-        w = z * inv_s
-        r, rel, bound = _residual_contract(lambda x: M_csr @ x, w, rhs, tol, norm_est)
-        if rel <= bound:
-            return w
-        if info != 0 and np.linalg.norm(dz) == 0.0:
-            break
-    return None
-
-
-def solve_linear(T: LinearizedOperator, rhs: np.ndarray, strategy: str = "auto",
-                 tol: float = 1e-13) -> np.ndarray:
-    """Solve T w = rhs on the operator's site list.
-
-    strategy: 'dense' (factorization), 'iterative' (scaled MINRES with a
-    hard cap of 10 * dimension iterations, falling over to dense below the
-    dimension cap), or 'auto' (dense up to the cap).
-    """
+def solve_linear(T: LinearizedOperator, rhs: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+    """Solve T w = rhs on the operator's site list."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (T.n,):
         raise ValueError(f"rhs has shape {rhs.shape}, operator expects ({T.n},)")
-    if strategy not in ("auto", "dense", "iterative"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "auto":
-        strategy = "dense" if T.n <= DENSE_DIMENSION_CAP else "iterative"
-    if strategy == "dense":
-        if T.n > DENSE_DIMENSION_CAP:
-            raise ValueError(f"dense strategy refused above {DENSE_DIMENSION_CAP} unknowns")
-        return _solve_scaled_dense(T.to_dense(), rhs, tol)
-    M = sp.csr_matrix(T.to_dense()) if T.n <= DENSE_DIMENSION_CAP else _full_csr(T)
-    w = _solve_scaled_iterative(M, rhs, tol, ITERATIVE_CAP_FACTOR * T.n)
-    if w is None:
-        if T.n <= DENSE_DIMENSION_CAP:
-            return _solve_scaled_dense(T.to_dense(), rhs, tol)
-        raise SingularOperator("iterative solve stagnated above tolerance")
-    return w
+    return _solve_scaled(T.matrix(), rhs, tol)
 
 
-def _full_csr(T: LinearizedOperator) -> sp.csr_matrix:
-    n = T.n
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [T.diag.astype(float)]
-    bound = T._kernel_bound()
-    for off, val in T.kernel.items_sorted():
-        src = T.sites - np.asarray(off, dtype=np.int64)
-        codes = lattice.encode(src, bound)
-        pos = np.searchsorted(T._codes, codes)
-        pos_c = np.minimum(pos, n - 1)
-        hit = T._codes[pos_c] == codes
-        r = np.nonzero(hit)[0]
-        rows.append(r)
-        cols.append(pos_c[hit])
-        vals.append(np.full(len(r), -val))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
+def inverse_norm(M: sp.csc_matrix) -> float:
+    """||M^-1||_2 = 1 / min|eig M| of a symmetric matrix.
+
+    The largest-magnitude eigenvalue of the factorized inverse, by Lanczos
+    (ARPACK) from a fixed pseudo-random start; a start vector without
+    antisymmetric components would miss the antisymmetric eigenvectors of
+    sign-flip-symmetric operators.  inf when the factor is singular or
+    yields non-finite solves.
+    """
+    n = M.shape[0]
+    try:
+        solve = _factorize(M)
+    except SingularOperator:
+        return math.inf
+    if n == 1:
+        return abs(float(solve(np.ones(1))[0]))
+
+    def matvec(x):
+        y = solve(x)
+        if not np.all(np.isfinite(y)):
+            raise SingularOperator("inverse has non-finite entries (zero pivot)")
+        return y
+
+    inverse = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        (mu,) = spla.eigsh(inverse, k=1, which="LM", v0=v0, return_eigenvectors=False)
+    except SingularOperator:
+        return math.inf
+    return abs(float(mu))
 
 
 @dataclass(frozen=True)
@@ -342,46 +312,17 @@ class GreensProfile:
         }
 
 
-def _power_norm(mat_mul, mat_mul_t, n: int, rel_tol: float = 1e-6, max_iter: int = 1000) -> float:
-    """Largest singular value of an implicitly given matrix via power
-    iteration on G G^T, deterministic start.
-
-    Stops when successive estimates move by well under rel_tol, so the
-    remaining bias stays below rel_tol except for pathological spectra.
-    """
-    v = np.ones(n) / math.sqrt(n)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = mat_mul_t(v)
-        w = mat_mul(w)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        new_sigma = math.sqrt(nrm)
-        v = w / nrm
-        if sigma > 0 and abs(new_sigma - sigma) <= 0.02 * rel_tol * sigma:
-            return new_sigma
-        sigma = new_sigma
-    return sigma
-
-
 def greens_profile(T: LinearizedOperator) -> GreensProfile:
     """Invert T (columns via the factorized solve) and profile the inverse:
-    operator-norm estimate and exponential off-diagonal decay fit beyond
-    one tenth of the box scale."""
+    operator norm and exponential off-diagonal decay fit beyond one tenth
+    of the box scale."""
     n = T.n
-    M = T.to_dense()
-    s = _scaling(np.diag(M))
-    S = M / np.outer(s, s)
-    try:
-        lu = _lu_quiet(S)
-    except sla.LinAlgError as exc:
-        raise SingularOperator(f"factorization failed: {exc}") from exc
-    G = sla.lu_solve(lu, np.diag(1.0 / s), check_finite=False) / s[:, None]
+    M = T.matrix()
+    G = _factorize(M)(np.eye(n))
     if not np.all(np.isfinite(G)):
         raise SingularOperator("inverse has non-finite entries (zero pivot)")
 
-    op_norm = _power_norm(lambda x: G @ x, lambda x: G.T @ x, n)
+    op_norm = inverse_norm(M)
 
     if T.region is not None:
         N = T.region.N
@@ -401,7 +342,6 @@ def greens_profile(T: LinearizedOperator) -> GreensProfile:
     np.maximum.at(maxes, flat_d, flat_g)
     for sdist, m in enumerate(maxes):
         shell_max[sdist] = float(m)
-    from .series import InsufficientData
 
     try:
         fit = fit_shell_decay(shell_max, threshold + 1)
@@ -436,7 +376,7 @@ def covariance_discrepancy(u: QPSeries, E: float, lam: Frequency, theta, j0: Ind
     diag2 = lattice.symbol_array(base_sites, lam, theta2) - E
     T1 = LinearizedOperator(d, p, shifted_sites, diag1, kernel, theta, E, lam)
     T2 = LinearizedOperator(d, p, base_sites, diag2, kernel, theta2, E, lam)
-    return float(np.max(np.abs(T1.to_dense() - T2.to_dense())))
+    return float(abs(T1.matrix() - T2.matrix()).max())
 
 
 class ReducedOperator:
@@ -466,64 +406,32 @@ class ReducedOperator:
         self.kernel = _kernel_series(u, p, region.N)
         self._bound = region.N + self.kernel.support_radius() + 1
         self._codes = lattice.encode(self.sites, self._bound)
-        self._matrix = None     # dense ndarray or csr, symmetrized coordinates
+        self._matrix = None
 
     def site_list(self) -> list[Index]:
         return [tuple(map(int, s)) for s in self.sites]
 
-    def _scatter(self, add_entry):
-        """Run add_entry(rows, cols, value) for every kernel offset."""
-        for off, val in self.kernel.items_sorted():
-            src = self.sites - np.asarray(off, dtype=np.int64)
-            inside = self.region.contains_array(src)
-            if not inside.any():
-                continue
-            rows = np.nonzero(inside)[0]
-            src_c = lattice.canonicalize_array(src[inside])
-            codes = lattice.encode(src_c, self._bound)
-            pos = np.searchsorted(self._codes, codes)
-            pos_c = np.minimum(pos, self.n - 1)
-            hit = self._codes[pos_c] == codes
-            if not hit.all():
-                # canonical representative of an in-region site is in-region
-                # for orbit-closed regions; anything else is a bug
-                raise AssertionError("canonical source site missing from region")
-            add_entry(rows, pos_c, val)
+    def _locate(self, src: np.ndarray):
+        rows = np.nonzero(self.region.contains_array(src))[0]
+        codes = lattice.encode(lattice.canonicalize_array(src[rows]), self._bound)
+        pos, hit = _lookup(codes, self._codes)
+        if not hit.all():
+            # canonical representative of an in-region site is in-region
+            # for orbit-closed regions; anything else is a bug
+            raise AssertionError("canonical source site missing from region")
+        return rows, pos
 
-    def matrix(self):
-        """Symmetrized reduced matrix, dense below the cap, else CSR."""
-        if self._matrix is not None:
-            return self._matrix
-        sq = np.sqrt(self.weights)
-        if self.n <= DENSE_DIMENSION_CAP:
-            M = np.zeros((self.n, self.n))
-            M[np.diag_indices(self.n)] = self.diag
-
-            def add(rows, cols, val):
-                M[rows, cols] -= val
-
-            self._scatter(add)
-            M *= sq[:, None]
-            M /= sq[None, :]
+    def matrix(self) -> sp.csc_matrix:
+        """Symmetrized reduced matrix (CSC), assembled on first use."""
+        if self._matrix is None:
+            M = _sparse_matrix(self.diag, self.kernel, self.sites, self._locate)
+            sq = np.sqrt(self.weights)
+            rows, cols = _coords(M)
+            M.data = M.data * sq[rows] / sq[cols]
             self._matrix = M
-        else:
-            rows_l = [np.arange(self.n)]
-            cols_l = [np.arange(self.n)]
-            vals_l = [self.diag.astype(float)]
-
-            def add(rows, cols, val):
-                rows_l.append(rows)
-                cols_l.append(cols)
-                vals_l.append(-val * np.ones(len(rows)))
-
-            self._scatter(add)
-            rows = np.concatenate(rows_l)
-            cols = np.concatenate(cols_l)
-            vals = np.concatenate(vals_l) * sq[rows] / sq[cols]
-            self._matrix = sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
         return self._matrix
 
-    def solve(self, rhs_canonical: np.ndarray, strategy: str = "auto", tol: float = 1e-13) -> np.ndarray:
+    def solve(self, rhs_canonical: np.ndarray, tol: float = 1e-13) -> np.ndarray:
         """Solve the reduced system for values on canonical sites.
 
         rhs_canonical holds the symmetric right-hand side's values at the
@@ -533,28 +441,12 @@ class ReducedOperator:
         if rhs_canonical.shape != (self.n,):
             raise ValueError("rhs shape mismatch with reduced site list")
         sq = np.sqrt(self.weights)
-        b = rhs_canonical * sq
-        M = self.matrix()
-        if strategy == "auto":
-            strategy = "dense" if self.n <= DENSE_DIMENSION_CAP else "iterative"
-        if strategy == "dense":
-            if sp.issparse(M):
-                M = M.toarray()
-            z = _solve_scaled_dense(M, b, tol)
-        else:
-            M_csr = M if sp.issparse(M) else sp.csr_matrix(M)
-            z = _solve_scaled_iterative(M_csr, b, tol, ITERATIVE_CAP_FACTOR * self.n)
-            if z is None:
-                if self.n <= DENSE_DIMENSION_CAP:
-                    z = _solve_scaled_dense(M if not sp.issparse(M) else M.toarray(), b, tol)
-                else:
-                    raise SingularOperator("iterative solve stagnated above tolerance")
-        return z / sq
+        return _solve_scaled(self.matrix(), rhs_canonical * sq, tol) / sq
 
-    def solve_series(self, rhs: QPSeries, strategy: str = "auto", tol: float = 1e-13) -> QPSeries:
+    def solve_series(self, rhs: QPSeries, tol: float = 1e-13) -> QPSeries:
         """Solve with a symmetric series right-hand side, returning a series."""
         rhs_vec = np.array([rhs.get(tuple(map(int, s))) for s in self.sites])
-        w = self.solve(rhs_vec, strategy=strategy, tol=tol)
+        w = self.solve(rhs_vec, tol=tol)
         canon = {}
         for row, s in enumerate(self.sites):
             if w[row] != 0.0:

@@ -219,8 +219,7 @@ def residual(u: QPSeries, E: float, lam: Frequency, p: int,
     return symmetrized(u.d, acc)
 
 
-def newton_step(u: QPSeries, E: float, cfg: ProblemConfig, N: int,
-                strategy: str = "auto") -> tuple[QPSeries, float]:
+def newton_step(u: QPSeries, E: float, cfg: ProblemConfig, N: int) -> tuple[QPSeries, float]:
     """One truncated Newton increment on the box minus the resonant orbit.
 
     Returns (increment, residual norm before the step).  The increment is
@@ -238,7 +237,7 @@ def newton_step(u: QPSeries, E: float, cfg: ProblemConfig, N: int,
             )
     region = Region.box_minus(N, cfg.resonant_set())
     op = ReducedOperator(u, E, cfg.lam, region, cfg.p)
-    w = op.solve_series(F, strategy=strategy)
+    w = op.solve_series(F)
     return w.scale(-1.0), F.l2_norm()
 
 
@@ -252,7 +251,7 @@ def _assert_iterate_invariants(u: QPSeries, cfg: ProblemConfig):
             raise AssertionError(f"symmetry violated at {j}")
 
 
-def solve(cfg: ProblemConfig, precheck: bool = True, strategy: str = "auto") -> SolutionRecord:
+def solve(cfg: ProblemConfig, precheck: bool = True) -> SolutionRecord:
     """Run the full scheme; returns the record, accepted iff the residual on
     the final box met residual_tol.
 
@@ -299,7 +298,7 @@ def solve(cfg: ProblemConfig, precheck: bool = True, strategy: str = "auto") -> 
         t0 = time.perf_counter()
         N_r = min(cfg.M ** r, cfg.N_max)
         E_r = E  # q_update of the current iterate, computed when it was formed
-        delta, _ = newton_step(u, E_r, cfg, N_r, strategy=strategy)
+        delta, _ = newton_step(u, E_r, cfg, N_r)
         u = truncate(u.add(delta), Region.full_box(N_r), cfg.drop_tol)
         _assert_iterate_invariants(u, cfg)
         power = _nonlinear_power(u, cfg.p)

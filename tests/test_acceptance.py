@@ -94,7 +94,10 @@ def test_criterion_3_first_residual_law():
 
 def test_criterion_4_convergence_exponent():
     with criterion(4, "convergence exponent", 60.0):
-        cfg = ProblemConfig(d=1, p=1, a=0.01, jtilde=GOOD_JT, lam=GOOD_LAM, N_max=30)
+        # M = 2 staggers the box growth, so the trace carries enough steps
+        # for the 4/3-exponent check to bite
+        cfg = ProblemConfig(d=1, p=1, a=0.1, jtilde=GOOD_JT, lam=GOOD_LAM, M=2,
+                            N_max=30, residual_tol=1e-13)
         rec = solve(cfg)
         assert rec.accepted
         assert rec.diagnostics["final_residual"] <= 1e-12
@@ -104,8 +107,8 @@ def test_criterion_4_convergence_exponent():
         for r in range(2, len(incs)):  # pairs (r, r+1), 1-based
             assert incs[r] <= incs[r - 1] ** (4.0 / 3.0)
             pairs += 1
-        print(f"    contraction pairs checked at r>=2: {pairs} "
-              f"(quadratic convergence leaves {len(incs)} steps at a=0.01)")
+        print(f"    contraction pairs checked at r>=2: {pairs}")
+        assert pairs >= 1
 
 
 def test_criterion_5_bifurcation_scalings():

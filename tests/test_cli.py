@@ -184,6 +184,22 @@ def test_greens_command(tmp_path):
     assert doc["beta"] is None or doc["beta"] > 0
 
 
+def test_greens_command_without_decay(tmp_path, capsys):
+    # a = 0 leaves a zero profile, so the inverse is diagonal and has no
+    # off-diagonal decay to fit
+    run = tmp_path / "run"
+    assert cli.main(["solve", "--d", "1", "--p", "1", "--a", "0",
+                     "--jtilde", JT_STR, "--lambda", LAM_STR, "--out", str(run)]) == 0
+    out = tmp_path / "greens"
+    capsys.readouterr()
+    code = cli.main(["greens", "--in", str(run / "solution.json"), "--N", "6",
+                     "--out", str(out)])
+    assert code == 0
+    doc = json.loads((out / "greens.json").read_text())
+    assert doc["beta"] is None and doc["fit_rms"] is None
+    assert "beta=None fit_rms=None" in capsys.readouterr().out
+
+
 def test_theta_sweep_command(tmp_path):
     run = tmp_path / "run"
     assert cli.main(solve_args(run)) == 0

@@ -14,6 +14,7 @@ from qpwave.diagnostics import (
     theta_bad_fraction,
 )
 from qpwave.lattice import Region, orbit, symbol
+from qpwave.linop import assemble
 from qpwave.series import QPSeries
 from qpwave.solver import ProblemConfig, solve
 
@@ -188,6 +189,20 @@ def test_theta_bad_fraction_shrinks_with_scale():
     assert fracs[1] <= fracs[0] + grid_quantum
     assert fracs[2] <= fracs[1] + grid_quantum
     assert fracs[2] < 0.5
+
+
+def test_theta_inverse_norms_match_eigenvalue_oracle():
+    # the sweep's norms on the accepted profile's box minus the pinned orbit
+    # against 1/min|eig| of each shifted operator, densified and diagonalized
+    rec = solve(good_cfg())
+    N = 8
+    res = theta_bad_fraction(rec.u, rec.E, rec.config.lam, N=N, axis=1,
+                             grid_step=0.05, norm_threshold=1e3, p=1, jtilde=GOOD_JT)
+    region = Region.box_minus(N, orbit(GOOD_JT))
+    for t, inv in zip(res.thetas, res.inv_norms):
+        M = assemble(rec.u, rec.E, rec.config.lam, (float(t),), region, 1).to_dense()
+        oracle = 1.0 / np.min(np.abs(np.linalg.eigvalsh(M)))
+        assert inv == pytest.approx(oracle, rel=1e-9)
 
 
 def test_theta_axis_validation():

@@ -255,9 +255,9 @@ def test_diverged_increment_detected(monkeypatch):
     calls = {"n": 0}
     real_step = solver.newton_step
 
-    def fake_step(u, E, cfg, N, strategy="auto"):
+    def fake_step(u, E, cfg, N):
         calls["n"] += 1
-        delta, resid = real_step(u, E, cfg, N, strategy=strategy)
+        delta, resid = real_step(u, E, cfg, N)
         return delta.scale(10.0 ** calls["n"]), resid
 
     monkeypatch.setattr(solver, "newton_step", fake_step)
