@@ -288,6 +288,7 @@ def _cmd_greens(args) -> int:
 
 def _cmd_theta_sweep(args) -> int:
     rec = load_solution(args.infile)
+    Region.full_box(args.N)  # rejects N < 1 before the default threshold takes N ** sigma
     threshold = args.norm_threshold
     if threshold is None:
         threshold = math.exp(args.N ** args.sigma)
@@ -328,7 +329,7 @@ def _cmd_evolve(args) -> int:
     if not rec.accepted:
         print("rejected: stored solution was not accepted", file=sys.stderr)
         return 2
-    box = Region.full_box(args.N if args.N else rec.config.N_max)
+    box = Region.full_box(args.N if args.N is not None else rec.config.N_max)
     C0 = dynamics.ComplexSeries.from_profile(rec.u)
     try:
         res = dynamics.evolve(C0, rec.config.lam, rec.config.p, args.T, args.dt, box,

@@ -4,17 +4,25 @@ The evolution state is a complex coefficient map C(j); the flow is
 
     i dC(j)/dt = symbol(j, lambda) C(j) - [C^(*(p+1)) * (Cbar)^(*p)](j),
 
-with Cbar(j) = conj(C(-j)) (the coefficients of the conjugate field), all
-convolutions truncated to a fixed box.  The linear part is diagonal in this
-basis, so the integrator is a Lawson (integrating-factor) fourth-order
-Runge-Kutta scheme with exact linear phases between stages; stiffness of
-the diagonal never limits the step.
+with Cbar(j) = conj(C(-j)) (the coefficients of the conjugate field); the
+state lives on a fixed box and the nonlinear term is cropped to it.  The
+linear part is diagonal in this basis, so the integrator is a Lawson
+(integrating-factor) fourth-order Runge-Kutta scheme with exact linear
+phases between stages; stiffness of the diagonal never limits the step.
+
+The nonlinear term is pseudo-spectral.  The coefficients are those of a
+hull function on the torus T^(2d), so the term is one inverse FFT, the
+pointwise product |f|^(2p) f and one forward FFT.  The product of a state
+of radius N_in has radius (2p+1) N_in, so a period
+L >= (2p+1) N_in + N_out + 1 keeps the [-N_out, N_out] crop alias-free
+(Orszag's padding rule).
 
 A constructed profile with eigenvalue E should evolve as the pure phase
 rotation e^(-iEt) times itself; standing_wave_deviation measures how far a
 stored solution drifts from that rotation.  The box truncation error is
-reported (fraction of nonlinear-term mass falling outside the box), never
-hidden.
+reported, never hidden: at every checkpoint, t = 0 included, the fraction
+of the nonlinear term's l2 mass that falls outside the box, read from its
+whole unaliased spectrum (the crop at N_out = (2p+1) N).
 """
 
 from __future__ import annotations
@@ -107,44 +115,25 @@ class ComplexSeries:
         return ComplexSeries(d, out)
 
 
-def _conv_grids(grids: list[np.ndarray], N_in: int, N_out: int):
-    """Linear convolution of q grids over [-N_in, N_in]^(2d) via FFT.
-
-    Returns the central [-N_out, N_out] crop and the fraction of the full
-    convolution's l2 mass that fell outside the crop.
-    """
-    q = len(grids)
-    ndim = grids[0].ndim
-    full = q * 2 * N_in + 1
-    nfft = scipy.fft.next_fast_len(full, real=False)
-    shape = (nfft,) * ndim
-    prod = None
-    for g in grids:
-        gf = scipy.fft.fftn(g, s=shape)
-        prod = gf if prod is None else prod * gf
-    conv = scipy.fft.ifftn(prod)
-    sl = tuple(slice(0, full) for _ in range(ndim))
-    conv = conv[sl]
-    center = q * N_in
-    # embed into the output box; the convolution is zero beyond |j| = q*N_in
-    m = min(center, N_out)
-    crop = np.zeros((2 * N_out + 1,) * ndim, dtype=complex)
-    src = tuple(slice(center - m, center + m + 1) for _ in range(ndim))
-    dst = tuple(slice(N_out - m, N_out + m + 1) for _ in range(ndim))
-    crop[dst] = conv[src]
-    total = float(np.linalg.norm(conv))
-    inside = float(np.linalg.norm(conv[src]))
-    outside_frac = 0.0
-    if total > 0.0:
-        outside_frac = math.sqrt(max(total * total - inside * inside, 0.0)) / total
-    return crop, outside_frac
+def _nonlinear_grid(grid: np.ndarray, p: int, N_in: int, N_out: int) -> np.ndarray:
+    """[C^(*(p+1)) * (Cbar)^(*p)] of the [-N_in, N_in] grid, cropped to
+    [-N_out, N_out]: pseudo-spectral on the alias-free period L."""
+    ndim = grid.ndim
+    L = scipy.fft.next_fast_len((2 * p + 1) * N_in + N_out + 1)
+    padded = np.zeros((L,) * ndim, dtype=complex)
+    padded[np.ix_(*[np.arange(-N_in, N_in + 1) % L] * ndim)] = grid
+    f = scipy.fft.ifftn(padded, norm="forward")
+    prod = scipy.fft.fftn((f.real * f.real + f.imag * f.imag) ** p * f, norm="forward")
+    return prod[np.ix_(*[np.arange(-N_out, N_out + 1) % L] * ndim)]
 
 
-def _nonlinear_grid(grid: np.ndarray, p: int, N_in: int, N_out: int):
-    """[C^(*(p+1)) * (Cbar)^(*p)] on the grid, cropped to [-N_out, N_out]."""
-    rev = np.flip(grid).conj()
-    factors = [grid] * (p + 1) + [rev] * p
-    return _conv_grids(factors, N_in, N_out)
+def _out_of_box_fraction(grid: np.ndarray, p: int, N: int) -> float:
+    """Fraction of the nonlinear term's l2 mass outside [-N, N]: the crop at
+    (2p+1) N holds the whole unaliased spectrum."""
+    full = _nonlinear_grid(grid, p, N, (2 * p + 1) * N)
+    total = float(np.linalg.norm(full))
+    full[(slice(2 * p * N, (2 * p + 2) * N + 1),) * grid.ndim] = 0.0
+    return float(np.linalg.norm(full)) / total if total > 0.0 else 0.0
 
 
 def nonlinear_term(C: ComplexSeries, p: int, box: Region) -> ComplexSeries:
@@ -158,7 +147,7 @@ def nonlinear_term(C: ComplexSeries, p: int, box: Region) -> ComplexSeries:
     if p < 1:
         raise ValueError("p must be >= 1")
     N_in = max(C.support_radius(), 1)
-    crop, _ = _nonlinear_grid(C.to_grid(N_in), p, N_in, box.N)
+    crop = _nonlinear_grid(C.to_grid(N_in), p, N_in, box.N)
     floor = 1e-13 * float(np.max(np.abs(crop)))
     out = ComplexSeries.from_grid(C.d, crop, box.N, drop_tol=floor)
     if box.kind != lattice.FULL_BOX:
@@ -196,12 +185,14 @@ def evolve(C0: ComplexSeries, lam: Frequency, p: int, T: float, dt: float,
 
     phase_reference, when given, is an eigenvalue E; the deviation column
     then tracks ||C(t) - e^(-iEt) C0||_2 / ||C0||_2 at checkpoints.
-    nonlinear=False drops the convolution term, leaving the exact phase
+    nonlinear=False drops the nonlinear term, leaving the exact phase
     rotation (a scheme sanity switch).  Raises StepUnstable when the l2
     norm grows more than 10% in one step.
     """
-    if dt <= 0 or T < dt:
-        raise ValueError("need dt > 0 and T >= dt")
+    if not (0 < dt <= T < math.inf):
+        raise ValueError("need dt > 0 and a finite T >= dt")
+    if checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be >= 1")
     d = C0.d
     N = box.N
     state = C0.to_grid(N)
@@ -214,42 +205,38 @@ def evolve(C0: ComplexSeries, lam: Frequency, p: int, T: float, dt: float,
 
     ref0 = state.copy() if phase_reference is not None else None
     mass0 = float(np.linalg.norm(state))
+    times, masses, devs, oob = [], [], [], []
 
-    times, masses, devs, oob = [0.0], [mass0], [], [0.0]
-    devs.append(0.0 if phase_reference is not None else math.nan)
+    def checkpoint(t, g):
+        times.append(t)
+        masses.append(float(np.linalg.norm(g)))
+        oob.append(_out_of_box_fraction(g, p, N) if nonlinear else 0.0)
+        if phase_reference is None:
+            devs.append(math.nan)
+        else:
+            drift = g - np.exp(-1j * phase_reference * t) * ref0
+            devs.append(float(np.linalg.norm(drift)) / mass0 if mass0 > 0 else 0.0)
 
     def nl(g):
-        if not nonlinear:
-            return np.zeros_like(g), 0.0
-        crop, frac = _nonlinear_grid(g, p, N, N)
-        return 1j * crop, frac
+        return 1j * _nonlinear_grid(g, p, N, N) if nonlinear else np.zeros_like(g)
 
-    t = 0.0
-    max_oob = 0.0
+    checkpoint(0.0, state)
     for step in range(1, n_steps + 1):
         prev_norm = np.linalg.norm(state)
-        n1, frac = nl(state)
-        max_oob = max(max_oob, frac)
+        n1 = nl(state)
         u2 = e_half * (state + (dt / 2.0) * n1)
-        n2, _ = nl(u2)
+        n2 = nl(u2)
         u3 = e_half * state + (dt / 2.0) * n2
-        n3, _ = nl(u3)
+        n3 = nl(u3)
         u4 = e_full * state + dt * (e_half * n3)
-        n4, _ = nl(u4)
+        n4 = nl(u4)
         state = e_full * state + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
         t = step * dt
         new_norm = np.linalg.norm(state)
         if new_norm > 1.1 * prev_norm:
             raise StepUnstable(f"l2 norm grew {new_norm / prev_norm:.3f}x in one step at t={t:.4g}")
         if step % checkpoint_every == 0 or step == n_steps:
-            times.append(t)
-            masses.append(float(new_norm))
-            oob.append(frac)
-            if phase_reference is not None:
-                drift = state - np.exp(-1j * phase_reference * t) * ref0
-                devs.append(float(np.linalg.norm(drift)) / mass0 if mass0 > 0 else 0.0)
-            else:
-                devs.append(math.nan)
+            checkpoint(t, state)
 
     masses_arr = np.array(masses)
     drift = float(np.max(np.abs(masses_arr - mass0)) / mass0) if mass0 > 0 else 0.0
@@ -259,7 +246,7 @@ def evolve(C0: ComplexSeries, lam: Frequency, p: int, T: float, dt: float,
         final=ComplexSeries.from_grid(d, state, N, drop_tol=0.0),
         times=np.array(times), mass=masses_arr, deviation=devs_arr,
         out_of_box=np.array(oob), mass_drift=drift,
-        max_deviation=max_dev, max_out_of_box=max_oob,
+        max_deviation=max_dev, max_out_of_box=max(oob),
     )
 
 

@@ -239,3 +239,28 @@ def test_evolve_command(tmp_path):
     assert doc["max_deviation"] <= 1e-6
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,deviation,mass_drift,out_of_box_mass"
+
+
+def test_theta_sweep_rejects_bad_box_scale(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert cli.main(solve_args(run)) == 0
+    for N in ("0", "-1"):
+        capsys.readouterr()
+        code = cli.main(["theta-sweep", "--in", str(run / "solution.json"),
+                         "--N", N, "--out", str(tmp_path / "theta")])
+        assert code == 1
+        assert "region scale N must be >= 1" in capsys.readouterr().err
+
+
+def test_evolve_rejects_bad_arguments(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert cli.main(solve_args(run)) == 0
+    base = ["evolve", "--in", str(run / "solution.json"), "--out", str(tmp_path / "evolve")]
+    cases = [(["--N", "0"], "region scale N must be >= 1"),
+             (["--checkpoint-every", "0", "--T", "0.002"], "checkpoint_every must be >= 1"),
+             (["--T", "nan"], "dt > 0")]
+    for extra, message in cases:
+        capsys.readouterr()
+        assert cli.main(base + extra) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "evolve" / "evolve.json").exists()

@@ -7,7 +7,7 @@ import pytest
 from helpers import GOOD_JT, GOOD_LAM, random_symmetric_series
 from qpwave.dynamics import ComplexSeries, StepUnstable, evolve, nonlinear_term, standing_wave_deviation
 from qpwave.lattice import Region, symbol
-from qpwave.series import QPSeries, conv_power
+from qpwave.series import QPSeries, conv_power, truncate
 from qpwave.solver import ProblemConfig, solve
 
 
@@ -29,14 +29,17 @@ def test_nonlinear_term_constant_field(p):
     assert out.get((0, 0)) == pytest.approx(a ** (2 * p + 1), rel=1e-13)
 
 
+@pytest.mark.parametrize("box_n", [3, 12])
+@pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("p", [1, 2])
-def test_nonlinear_term_real_symmetric_matches_convolution_power(p):
+def test_nonlinear_term_real_symmetric_matches_convolution_power(p, d, box_n):
+    # box_n = 3 lies inside the product's support, so aliasing would show
     rng = np.random.default_rng(0)
-    u = random_symmetric_series(1, rng, n_orbits=3, box_n=2, scale=0.3)
+    u = random_symmetric_series(d, rng, n_orbits=3, box_n=2, scale=0.3)
     C = ComplexSeries.from_profile(u)
-    box = Region.full_box(12)
+    box = Region.full_box(box_n)
     out = nonlinear_term(C, p, box)
-    ref = conv_power(u, 2 * p + 1, box)
+    ref = truncate(conv_power(u, 2 * p + 1, None), box)
     for j in set(out.coeffs) | set(ref.coeffs):
         got = out.get(j)
         assert abs(got.imag) <= 1e-14
@@ -166,9 +169,26 @@ def test_step_unstable_raises():
 
 
 def test_out_of_box_mass_reported():
-    C0 = ComplexSeries(1, {(2, 2): 0.4, (-2, -2): 0.4})
-    res = evolve(C0, GOOD_LAM, 1, 0.1, 1e-2, Region.full_box(2))
+    coeffs = {(2, 2): 0.4, (-2, -2): 0.4}
+    box = Region.full_box(2)
+    res = evolve(ComplexSeries(1, coeffs), GOOD_LAM, 1, 0.1, 1e-2, box)
+    # t = 0 reports the initial state's own fraction, against the sparse oracle
+    full = conv_power(QPSeries(1, coeffs), 3, None)
+    inside = truncate(full, box).l2_norm()
+    expected = math.sqrt(full.l2_norm() ** 2 - inside ** 2) / full.l2_norm()
+    assert res.out_of_box[0] == pytest.approx(expected, abs=1e-12)
+    assert res.max_out_of_box == max(res.out_of_box)
     assert res.max_out_of_box > 0.0
+
+
+def test_evolve_rejects_bad_step_and_checkpoint_arguments():
+    C0 = ComplexSeries(1, {(0, 0): 0.5})
+    box = Region.full_box(2)
+    for T, dt in ((math.nan, 1e-2), (1.0, math.nan), (math.inf, 1e-2), (1.0, 0.0), (1e-3, 1e-2)):
+        with pytest.raises(ValueError, match="dt > 0"):
+            evolve(C0, GOOD_LAM, 1, T, dt, box)
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        evolve(C0, GOOD_LAM, 1, 0.1, 1e-2, box, checkpoint_every=0)
 
 
 # --------------------------------------------------------------------------
