@@ -291,7 +291,11 @@ def _cmd_theta_sweep(args) -> int:
     Region.full_box(args.N)  # rejects N < 1 before the default threshold takes N ** sigma
     threshold = args.norm_threshold
     if threshold is None:
-        threshold = math.exp(args.N ** args.sigma)
+        try:
+            threshold = math.exp(args.N ** args.sigma)
+        except OverflowError:
+            raise ValueError(f"the default threshold exp(N**sigma) = exp({args.N}**{args.sigma!r}) "
+                             "overflows; give --norm-threshold instead") from None
     res = diagnostics.theta_bad_fraction(rec.u, rec.E, rec.config.lam, args.N,
                                          args.axis, args.grid_step, threshold,
                                          p=rec.config.p, jtilde=rec.config.jtilde)

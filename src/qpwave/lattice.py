@@ -28,11 +28,6 @@ Frequency = tuple[float, ...]
 NORM_CONVENTION = "linf"
 
 
-def blocks(j):
-    """Split a flattened index (or frequency) into its d pairs."""
-    return [(j[2 * k], j[2 * k + 1]) for k in range(len(j) // 2)]
-
-
 def block_count(j) -> int:
     if len(j) % 2 != 0:
         raise ValueError(f"flattened index must have even length, got {len(j)}")

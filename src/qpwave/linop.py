@@ -23,6 +23,17 @@ in the set) into a CSC matrix cached by matrix().  Two site sets occur:
   solver; the kernel is summed over each source orbit and rows and columns
   are weighted by sqrt(orbit size) so it stays symmetric.
 
+Both are assembled through one site table per operator: an integer array
+over a box, in lattice.encode order, holding each box site's row or -1.  The
+ReducedOperator's box is the region's [-N, N]^(2d), and a site's row is that
+of its canonical representative (-1 outside the region); the
+LinearizedOperator's box is the bounding box of its site list, and a site's
+row is its own.  The table is built once, from the one enumeration of the
+region; then each kernel offset costs a per-coordinate range test (is the
+source site - offset in the box?), one integer shift of the site codes and
+one gather from the table.  ReducedOperator.solve_series reads its
+right-hand side through the same table.
+
 Every linear solve is one SuperLU factorization of the diagonally scaled
 matrix plus at most four steps of iterative refinement; the residual
 contract is enforced on every return, and its violation, like an exactly
@@ -66,31 +77,63 @@ def _kernel_series(u: QPSeries, p: int, radius: int) -> QPSeries:
     return conv_power(u, 2 * p, box).scale(2.0 * p + 1.0)
 
 
-def _lookup(codes: np.ndarray, sorted_codes: np.ndarray):
-    """Positions of codes in sorted_codes, and which of them are present."""
-    pos = np.minimum(np.searchsorted(sorted_codes, codes), len(sorted_codes) - 1)
-    return pos, sorted_codes[pos] == codes
+class _SiteTable:
+    """Row of every site of the box lo <= x <= hi (per coordinate), or -1.
+
+    rows is indexed by box position in lexicographic order (lattice.encode
+    order), so a site's code is linear in its coordinates and a shift by an
+    offset is one integer subtraction.  Rows are int32, SciPy's index type
+    for every matrix that fits in memory, so the assembled index lists need
+    no down-cast copy.
+    """
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        self.lo = lo
+        self.hi = hi
+        extent = hi - lo + 1
+        self.weights = np.append(np.cumprod(extent[:0:-1])[::-1], 1).astype(np.int64)
+        self.rows = np.full(int(np.prod(extent)), -1, dtype=np.int32)
+
+    def codes(self, pts: np.ndarray) -> np.ndarray:
+        """Box position of every row of pts; meaningless for rows outside the box."""
+        return (pts - self.lo) @ self.weights
+
+    def locate(self, coords: np.ndarray, codes: np.ndarray, off: np.ndarray):
+        """(i, row of site i - off) for every site i whose shifted site has a
+        row.  coords is (2d, m), one contiguous row per coordinate; codes are
+        the sites' box positions."""
+        inbox = np.ones(coords.shape[1], dtype=bool)
+        for x, lo, hi, o in zip(coords, self.lo, self.hi, off):
+            inbox &= (x >= lo + o) & (x <= hi + o)
+        i = np.nonzero(inbox)[0]
+        rows = self.rows[codes[i] - off @ self.weights]
+        hit = rows >= 0
+        return i[hit].astype(np.int32), rows[hit]
 
 
-def _sparse_matrix(diag: np.ndarray, kernel: QPSeries, sites: np.ndarray, locate) -> sp.csc_matrix:
-    """diag on the diagonal minus kernel(off) at every (row, col) that
-    locate(sites - off) returns; entries sharing a position are summed."""
+def _sparse_matrix(diag: np.ndarray, kernel: QPSeries, sites: np.ndarray,
+                   table: _SiteTable) -> sp.csc_matrix:
+    """diag on the diagonal minus kernel(off) at every (i, row of sites[i] - off)
+    that the table holds; entries sharing a position are summed."""
     n = len(diag)
-    rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.asarray(diag, dtype=float)]
+    coords, codes = np.ascontiguousarray(sites.T), table.codes(sites)
+    diagonal = np.arange(n, dtype=np.int32)
+    rows, cols, vals = [diagonal], [diagonal], [np.asarray(diag, dtype=float)]
     for off, val in kernel.items_sorted():
-        r, c = locate(sites - np.asarray(off, dtype=np.int64))
+        r, c = table.locate(coords, codes, np.asarray(off, dtype=np.int64))
         rows.append(r)
         cols.append(c)
         vals.append(np.full(len(r), -val))
-    coo = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return coo.tocsc()
+    # concatenate one list at a time, so each list's parts are freed before the next
+    vals = np.concatenate(vals)
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
 
 
-def _coords(M: sp.csc_matrix):
-    """Row and column index of every stored entry of a CSC matrix."""
-    return M.indices, np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
+def _by_column(M: sp.csc_matrix, x: np.ndarray) -> np.ndarray:
+    """x[column] for every stored entry of a CSC matrix."""
+    return np.repeat(x, np.diff(M.indptr))
 
 
 class LinearizedOperator:
@@ -106,13 +149,10 @@ class LinearizedOperator:
         self.E = E
         self.lam = tuple(lam)
         self.region = region            # Region when built from one, else None
-        self._bound = int(np.max(np.abs(sites))) if len(sites) else 0
-        self._codes = lattice.encode(sites, self._kernel_bound())
+        # rows of the sites themselves over their bounding box
+        self._table = _SiteTable(sites.min(axis=0), sites.max(axis=0))
+        self._table.rows[self._table.codes(sites)] = np.arange(len(sites))
         self._matrix = None
-
-    def _kernel_bound(self) -> int:
-        kr = self.kernel.support_radius()
-        return self._bound + kr + 1
 
     @property
     def n(self) -> int:
@@ -121,14 +161,10 @@ class LinearizedOperator:
     def site_index(self) -> dict[Index, int]:
         return {tuple(s): i for i, s in enumerate(self.sites)}
 
-    def _locate(self, src: np.ndarray):
-        pos, hit = _lookup(lattice.encode(src, self._kernel_bound()), self._codes)
-        return np.nonzero(hit)[0], pos[hit]
-
     def matrix(self) -> sp.csc_matrix:
         """The operator as a CSC matrix, assembled on first use."""
         if self._matrix is None:
-            self._matrix = _sparse_matrix(self.diag, self.kernel, self.sites, self._locate)
+            self._matrix = _sparse_matrix(self.diag, self.kernel, self.sites, self._table)
         return self._matrix
 
     def to_dense(self) -> np.ndarray:
@@ -148,7 +184,10 @@ def assemble(u: QPSeries, E: float, lam: Frequency, theta, region, p: int) -> Li
         sites = lattice.sites_array(region, d)
         reg = region
     else:
-        sites = np.asarray(sorted(map(tuple, region)), dtype=np.int64)
+        listed = sorted(map(tuple, region))
+        if len(set(listed)) != len(listed):
+            raise ValueError("explicit site list repeats a site")
+        sites = np.asarray(listed, dtype=np.int64)
         reg = None
     radius = int(np.max(np.abs(sites))) if len(sites) else 1
     kernel = _kernel_series(u, p, radius)
@@ -177,8 +216,8 @@ def _factorize(M: sp.csc_matrix):
     SingularOperator; near-singular ones surface as non-finite or
     contract-violating solves, which the callers check."""
     s = _scaling(M.diagonal())
-    rows, cols = _coords(M)
-    S = sp.csc_matrix((M.data / (s[rows] * s[cols]), M.indices, M.indptr), shape=M.shape)
+    S = sp.csc_matrix((M.data / (s[M.indices] * _by_column(M, s)), M.indices, M.indptr),
+                      shape=M.shape)
     try:
         lu = spla.splu(S)
     except RuntimeError as exc:
@@ -222,8 +261,8 @@ def _solve_scaled(M: sp.csc_matrix, rhs: np.ndarray, tol: float) -> np.ndarray:
     """
     if np.linalg.norm(rhs) == 0.0:
         return np.zeros(M.shape[0])
-    solve_once = _factorize(M)
     norm_est = float(abs(M).sum(axis=1).max())
+    solve_once = _factorize(M)
 
     w = solve_once(rhs)
     if not np.all(np.isfinite(w)):
@@ -398,36 +437,32 @@ class ReducedOperator:
         self.lam = tuple(lam)
         self.region = region
         pts = lattice.sites_array(region, d)
-        canon_mask = np.all(lattice.canonicalize_array(pts) == pts, axis=1)
+        canon = lattice.canonicalize_array(pts)
+        canon_mask = np.all(canon == pts, axis=1)
         self.sites = pts[canon_mask]
         self.n = len(self.sites)
         self.weights = lattice.orbit_sizes_array(self.sites).astype(float)
         self.diag = lattice.symbol_array(self.sites, lam) - E
         self.kernel = _kernel_series(u, p, region.N)
-        self._bound = region.N + self.kernel.support_radius() + 1
-        self._codes = lattice.encode(self.sites, self._bound)
-        self._matrix = None
-
-    def site_list(self) -> list[Index]:
-        return [tuple(map(int, s)) for s in self.sites]
-
-    def _locate(self, src: np.ndarray):
-        rows = np.nonzero(self.region.contains_array(src))[0]
-        codes = lattice.encode(lattice.canonicalize_array(src[rows]), self._bound)
-        pos, hit = _lookup(codes, self._codes)
-        if not hit.all():
+        # every region site maps to the row of its canonical representative
+        edge = np.full(2 * d, region.N, dtype=np.int64)
+        self._table = _SiteTable(-edge, edge)
+        codes = self._table.codes(pts)
+        self._table.rows[codes[canon_mask]] = np.arange(self.n)
+        rows = self._table.rows[self._table.codes(canon)]
+        if np.any(rows < 0):
             # canonical representative of an in-region site is in-region
             # for orbit-closed regions; anything else is a bug
             raise AssertionError("canonical source site missing from region")
-        return rows, pos
+        self._table.rows[codes] = rows
+        self._matrix = None
 
     def matrix(self) -> sp.csc_matrix:
         """Symmetrized reduced matrix (CSC), assembled on first use."""
         if self._matrix is None:
-            M = _sparse_matrix(self.diag, self.kernel, self.sites, self._locate)
+            M = _sparse_matrix(self.diag, self.kernel, self.sites, self._table)
             sq = np.sqrt(self.weights)
-            rows, cols = _coords(M)
-            M.data = M.data * sq[rows] / sq[cols]
+            M.data = M.data * sq[M.indices] / _by_column(M, sq)
             self._matrix = M
         return self._matrix
 
@@ -444,11 +479,18 @@ class ReducedOperator:
         return _solve_scaled(self.matrix(), rhs_canonical * sq, tol) / sq
 
     def solve_series(self, rhs: QPSeries, tol: float = 1e-13) -> QPSeries:
-        """Solve with a symmetric series right-hand side, returning a series."""
-        rhs_vec = np.array([rhs.get(tuple(map(int, s))) for s in self.sites])
+        """Solve with a symmetric series right-hand side, returning a series.
+
+        Each rhs entry inside the region lands on the row of its orbit (all
+        members carry the same value); entries outside it are dropped.
+        """
+        keys = np.array(list(rhs.coeffs), dtype=np.int64).reshape(-1, 2 * self.d)
+        vals = np.fromiter(rhs.coeffs.values(), dtype=float, count=len(keys))
+        here = np.zeros(2 * self.d, dtype=np.int64)
+        i, rows = self._table.locate(np.ascontiguousarray(keys.T), self._table.codes(keys), here)
+        rhs_vec = np.zeros(self.n)
+        rhs_vec[rows] = vals[i]
         w = self.solve(rhs_vec, tol=tol)
-        canon = {}
-        for row, s in enumerate(self.sites):
-            if w[row] != 0.0:
-                canon[tuple(map(int, s))] = float(w[row])
+        nz = np.nonzero(w)[0]
+        canon = dict(zip(map(tuple, self.sites[nz].tolist()), w[nz].tolist()))
         return QPSeries.from_canonical(self.d, canon)

@@ -70,3 +70,30 @@ def profile_values(series: QPSeries, lam, xs: np.ndarray) -> np.ndarray:
             w = j[0] * lam[0] + j[1] * lam[1]
             total += 2.0 * v * np.cos(w * xs)
     return total
+
+
+def assembly_oracle(sites, diag, kernel: QPSeries, contains, rep=None, weights=None) -> np.ndarray:
+    """Dense operator matrix built entry by entry from its definition.
+
+    diag on the diagonal; then, for every site and kernel offset whose
+    source site - offset is contained, minus the kernel value at the row of
+    rep(source) (the source itself when rep is None).  With weights, entry
+    (i, k) is scaled by sqrt(w_i) / sqrt(w_k).
+    """
+    index = {tuple(map(int, s)): i for i, s in enumerate(sites)}
+    M = np.diag(np.asarray(diag, dtype=float))
+    for i, s in enumerate(sites):
+        for off, val in kernel.items_sorted():
+            src = tuple(int(a) - b for a, b in zip(s, off))
+            if contains(src):
+                M[i, index[rep(src) if rep else src]] -= val
+    if weights is not None:
+        sq = np.sqrt(np.asarray(weights, dtype=float))
+        M = M * sq[:, None] / sq[None, :]
+    return M
+
+
+def theta_symbol(j, lam, theta) -> float:
+    """sum_k ((j_k . lambda_k) + theta_k)^2, one site at a time."""
+    return sum((j[2 * k] * lam[2 * k] + j[2 * k + 1] * lam[2 * k + 1] + theta[k]) ** 2
+               for k in range(len(theta)))

@@ -252,6 +252,18 @@ def test_theta_sweep_rejects_bad_box_scale(tmp_path, capsys):
         assert "region scale N must be >= 1" in capsys.readouterr().err
 
 
+def test_theta_sweep_rejects_overflowing_default_threshold(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert cli.main(solve_args(run)) == 0
+    capsys.readouterr()
+    code = cli.main(["theta-sweep", "--in", str(run / "solution.json"),
+                     "--N", "12", "--sigma", "10", "--out", str(tmp_path / "theta")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "exp(N**sigma)" in err and "overflows" in err and "--norm-threshold" in err
+    assert not (tmp_path / "theta" / "theta_sweep.json").exists()
+
+
 def test_evolve_rejects_bad_arguments(tmp_path, capsys):
     run = tmp_path / "run"
     assert cli.main(solve_args(run)) == 0

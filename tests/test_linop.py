@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import GOOD_LAM, random_symmetric_series, seed_series
+from helpers import (
+    GOOD_LAM,
+    GOOD_LAM_D2,
+    assembly_oracle,
+    random_symmetric_series,
+    seed_series,
+    theta_symbol,
+)
 from qpwave import lattice, linop
-from qpwave.lattice import Region, orbit, symbol
+from qpwave.lattice import Region, canonical, enumerate_region, is_canonical, orbit, symbol
 from qpwave.linop import (
     ReducedOperator,
     SingularOperator,
@@ -59,6 +66,12 @@ def test_diag_vanishes_on_resonant_orbit_at_linear_eigenvalue():
     idx = T.site_index()
     for s in orbit(jt):
         assert T.diag[idx[s]] == 0.0
+
+
+def test_assemble_rejects_repeated_sites():
+    # a repeated site would have two rows but one column: not symmetric
+    with pytest.raises(ValueError, match="repeats a site"):
+        assemble(seed_series(1, 0.1), -1.0, GOOD_LAM, None, [(0, 0), (1, 0), (1, 0)], p=1)
 
 
 def test_apply_linear_and_matches_dense():
@@ -285,3 +298,54 @@ def test_reduced_solve_matches_dense_oracle():
         1, {tuple(map(int, s)): float(x) for s, x in zip(red.sites, w_vec) if x != 0.0})
     diff = w.add(w_oracle.scale(-1.0)).l2_norm()
     assert diff <= 1e-11 * max(w_oracle.l2_norm(), 1e-30)
+
+
+def _assert_matches_oracle(M, M_def):
+    assert np.max(np.abs(M.toarray() - M_def)) <= 1e-15 * np.max(np.abs(M_def))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("d,N,lam,jt", [(1, 5, GOOD_LAM, (1, 1)), (2, 3, GOOD_LAM_D2, (1, 0, 0, 1))])
+def test_reduced_matrix_matches_definition(d, N, lam, jt, p):
+    # the kernel reaches beyond the box, so sources fall outside it too
+    rng = np.random.default_rng(10 + d + p)
+    u = random_symmetric_series(d, rng, n_orbits=3 if d == 1 else 2, box_n=2, scale=0.1)
+    u = u.add(QPSeries.delta(d, 0.05, (3, 1) if d == 1 else (2, 0, 0, 1)))
+    region = Region.box_minus(N, orbit(jt))
+    red = ReducedOperator(u, -0.7, lam, region, p=p)
+    assert red.kernel.support_radius() > N
+    sites = [j for j in enumerate_region(region, d) if is_canonical(j)]
+    assert [tuple(map(int, s)) for s in red.sites] == sites
+    M_def = assembly_oracle(sites, [symbol(j, lam) + 0.7 for j in sites], red.kernel,
+                            region.contains, rep=canonical,
+                            weights=[len(orbit(j)) for j in sites])
+    _assert_matches_oracle(red.matrix(), M_def)
+
+
+def test_linearized_matrix_matches_definition_generalized_box():
+    rng = np.random.default_rng(12)
+    u = random_symmetric_series(1, rng, n_orbits=4, box_n=3, scale=0.1)
+    region = Region.generalized(4, ("<", ">"))
+    theta = (0.37,)
+    T = assemble(u, 0.9, GOOD_LAM, theta, region, p=2)
+    assert T.kernel.support_radius() > region.N
+    sites = enumerate_region(region, 1)
+    assert [tuple(map(int, s)) for s in T.sites] == sites
+    M_def = assembly_oracle(sites, [theta_symbol(j, GOOD_LAM, theta) - 0.9 for j in sites],
+                            T.kernel, region.contains)
+    _assert_matches_oracle(T.matrix(), M_def)
+
+
+@pytest.mark.parametrize("d,lam,j0", [(1, GOOD_LAM, (5, -2)), (2, GOOD_LAM_D2, (3, 0, -1, 2))])
+def test_linearized_matrix_matches_definition_translated_list(d, lam, j0):
+    # an explicit site list off the origin: its bounding box is not symmetric
+    rng = np.random.default_rng(13)
+    u = random_symmetric_series(d, rng, n_orbits=3 if d == 1 else 2, box_n=2, scale=0.1)
+    sites = [tuple(a + b for a, b in zip(j, j0)) for j in enumerate_region(Region.full_box(2), d)]
+    theta = (0.1,) * d
+    T = assemble(u, 1.1, lam, theta, sites, p=1)
+    assert [tuple(map(int, s)) for s in T.sites] == sites
+    members = set(sites)
+    M_def = assembly_oracle(sites, [theta_symbol(j, lam, theta) - 1.1 for j in sites],
+                            T.kernel, members.__contains__)
+    _assert_matches_oracle(T.matrix(), M_def)
