@@ -212,13 +212,6 @@ def _build_config(args) -> ProblemConfig:
     )
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QPWAVE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -247,8 +240,7 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep_lambda(args) -> int:
     cfg = _build_config(args)
     report = diagnostics.lambda_sweep(cfg, args.n_samples, args.seed,
-                                      sep_N=args.sep_n, greens_N=args.greens_n,
-                                      max_workers=_threads())
+                                      sep_N=args.sep_n, greens_N=args.greens_n)
     _atomic_write(os.path.join(args.out, "report.json"), _dump_json(report.to_json_dict()))
     lam_cols = [f"lambda_{i}" for i in range(2 * cfg.d)]
     _write_csv(
@@ -368,14 +360,15 @@ def _cmd_verify(args) -> int:
     for s in cfg.resonant_set():
         if cfg.a > 0 and rec.u.get(s) != pin:
             problems.append(f"pinned amplitude at {s} is {rec.u.get(s)!r}, expected {pin!r}")
+    _, power = solver.powers(rec.u, cfg.p)
     try:
-        e_check = solver.q_update(rec.u, cfg)
+        e_check = solver.q_update(rec.u, cfg, power=power)
         if abs(e_check - rec.E) > 1e-14 * (1.0 + abs(rec.E)):
             problems.append(f"stored E {rec.E!r} disagrees with recomputed {e_check!r}")
     except ValueError as exc:
         problems.append(str(exc))
     resid = solver.residual(rec.u, rec.E, cfg.lam, cfg.p,
-                            box=Region.full_box(cfg.N_max)).l2_norm()
+                            box=Region.full_box(cfg.N_max), power=power).l2_norm()
     stored = rec.diagnostics.get("final_residual")
     if stored is None:
         problems.append("no stored residual norm")

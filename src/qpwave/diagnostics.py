@@ -10,7 +10,6 @@ enough context to be reproduced bit-for-bit from the stored seed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -204,7 +203,7 @@ def _sweep_one(cfg: ProblemConfig, idx: int, lam_flat, sep_N: int, greens_N: int
 
 def lambda_sweep(cfg: ProblemConfig, n_samples: int, seed: int,
                  sep_N: int | None = None, greens_N: int = GREENS_SCALE,
-                 max_workers: int = 1, lambdas=None) -> AcceptanceReport:
+                 lambdas=None) -> AcceptanceReport:
     """Draw frequencies uniformly from the parameter cube and push each one
     through the three-stage pipeline: Diophantine margin, separation margin
     at the first Newton scale, full solve (plus a Green's decay fit on
@@ -221,12 +220,7 @@ def lambda_sweep(cfg: ProblemConfig, n_samples: int, seed: int,
     lams = rng.uniform(0.5, 1.5, size=(n_samples, 2 * cfg.d))
     if lambdas is not None:
         lams = np.asarray(lambdas, dtype=float).reshape(n_samples, 2 * cfg.d)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            samples = list(pool.map(
-                lambda i: _sweep_one(cfg, i, lams[i], sep_N, greens_N), range(n_samples)))
-    else:
-        samples = [_sweep_one(cfg, i, lams[i], sep_N, greens_N) for i in range(n_samples)]
+    samples = [_sweep_one(cfg, i, lams[i], sep_N, greens_N) for i in range(n_samples)]
     n_acc = sum(1 for s in samples if s.accepted)
     return AcceptanceReport(
         n_samples=n_samples, n_accepted=n_acc,

@@ -5,9 +5,11 @@ The operator acts on a finite site list as
     (T v)(j) = diag(j) v(j) - sum_j' kernel(j - j') v(j'),
     diag(j)  = sum_k ((j_k . lambda_k) + theta_k)^2 - E,
 
-with kernel = (2p+1) * u^(*2p).  theta enters only the diagonal; the kernel
-is theta-independent.  Translating the site list by j0 is exactly
-equivalent to shifting theta_k by j0_k . lambda_k, which
+with kernel = (2p+1) * u^(*2p), the exact convolution power on its full
+support (kernel_series); offsets that reach no site of the set add nothing.
+Each operator takes its kernel ready-made.  theta enters only the diagonal;
+the kernel is theta-independent.  Translating the site list by j0 is
+exactly equivalent to shifting theta_k by j0_k . lambda_k, which
 covariance_discrepancy measures.
 
 Each site set has one sparse realization, assembled once from COO triplets
@@ -67,14 +69,9 @@ class SingularOperator(Exception):
     could not reach its residual contract: a resonant lambda/E."""
 
 
-def _kernel_series(u: QPSeries, p: int, radius: int) -> QPSeries:
-    """(2p+1) * u^(*2p), truncated to the difference box of the site list."""
-    if p < 1:
-        raise ValueError("nonlinearity exponent p must be >= 1")
-    if u.support_size() == 0:
-        return QPSeries.zero(u.d)
-    box = Region.full_box(max(1, 2 * radius))
-    return conv_power(u, 2 * p, box).scale(2.0 * p + 1.0)
+def kernel_series(u: QPSeries, p: int) -> QPSeries:
+    """The linearization's kernel (2p+1) * u^(*2p), on its full support."""
+    return conv_power(u, 2 * p).scale(2.0 * p + 1.0)
 
 
 class _SiteTable:
@@ -139,9 +136,8 @@ def _by_column(M: sp.csc_matrix, x: np.ndarray) -> np.ndarray:
 class LinearizedOperator:
     """Full realization on an explicit, lexicographically ordered site list."""
 
-    def __init__(self, d, p, sites, diag, kernel, theta, E, lam, region=None):
+    def __init__(self, d, sites, diag, kernel, theta, E, lam, region=None):
         self.d = d
-        self.p = p
         self.sites = sites              # (n, 2d) int64, lex sorted
         self.diag = diag                # (n,) float
         self.kernel = kernel            # QPSeries
@@ -189,10 +185,8 @@ def assemble(u: QPSeries, E: float, lam: Frequency, theta, region, p: int) -> Li
             raise ValueError("explicit site list repeats a site")
         sites = np.asarray(listed, dtype=np.int64)
         reg = None
-    radius = int(np.max(np.abs(sites))) if len(sites) else 1
-    kernel = _kernel_series(u, p, radius)
     diag = lattice.symbol_array(sites, lam, theta) - E
-    return LinearizedOperator(d, p, sites, diag, kernel, theta, E, lam, region=reg)
+    return LinearizedOperator(d, sites, diag, kernel_series(u, p), theta, E, lam, region=reg)
 
 
 def apply(T: LinearizedOperator, v: np.ndarray) -> np.ndarray:
@@ -405,16 +399,15 @@ def covariance_discrepancy(u: QPSeries, E: float, lam: Frequency, theta, j0: Ind
         theta = (0.0,) * d
     base_sites = lattice.sites_array(region, d)
     shifted_sites = base_sites + np.asarray(j0, dtype=np.int64)
-    radius = max(int(np.max(np.abs(base_sites))), int(np.max(np.abs(shifted_sites))))
-    kernel = _kernel_series(u, p, radius)
+    kernel = kernel_series(u, p)
     theta2 = tuple(
         theta[k] + lattice.block_inner((j0[2 * k], j0[2 * k + 1]), (lam[2 * k], lam[2 * k + 1]))
         for k in range(d)
     )
     diag1 = lattice.symbol_array(shifted_sites, lam, theta) - E
     diag2 = lattice.symbol_array(base_sites, lam, theta2) - E
-    T1 = LinearizedOperator(d, p, shifted_sites, diag1, kernel, theta, E, lam)
-    T2 = LinearizedOperator(d, p, base_sites, diag2, kernel, theta2, E, lam)
+    T1 = LinearizedOperator(d, shifted_sites, diag1, kernel, theta, E, lam)
+    T2 = LinearizedOperator(d, base_sites, diag2, kernel, theta2, E, lam)
     return float(abs(T1.matrix() - T2.matrix()).max())
 
 
@@ -427,12 +420,11 @@ class ReducedOperator:
     symmetric.  Only valid on orbit-closed regions.
     """
 
-    def __init__(self, u: QPSeries, E: float, lam: Frequency, region: Region, p: int):
+    def __init__(self, kernel: QPSeries, E: float, lam: Frequency, region: Region):
         if not region.is_orbit_closed():
             raise ValueError("symmetry reduction needs an orbit-closed region")
-        d = u.d
+        d = kernel.d
         self.d = d
-        self.p = p
         self.E = E
         self.lam = tuple(lam)
         self.region = region
@@ -443,7 +435,7 @@ class ReducedOperator:
         self.n = len(self.sites)
         self.weights = lattice.orbit_sizes_array(self.sites).astype(float)
         self.diag = lattice.symbol_array(self.sites, lam) - E
-        self.kernel = _kernel_series(u, p, region.N)
+        self.kernel = kernel
         # every region site maps to the row of its canonical representative
         edge = np.full(2 * d, region.N, dtype=np.int64)
         self._table = _SiteTable(-edge, edge)

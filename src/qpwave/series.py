@@ -11,6 +11,8 @@ factor appears only in physical-space evaluation.
 Convolutions are computed by direct sparse accumulation with a fixed
 (sorted) summation order, then broadcast across each orbit from its
 canonical representative so the symmetry invariant holds to the last bit.
+Every convolution value is the exact full sum over all pairs of factor
+sites, on the product's whole support; the only truncation is truncate().
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ class QPSeries:
         return f"QPSeries(d={self.d}, support={self.support_size()}, l2={self.l2_norm():.3e})"
 
 
-def symmetrized(d: int, acc: dict[Index, float], drop_tol: float = 0.0) -> QPSeries:
+def symmetrized(d: int, acc: dict[Index, float]) -> QPSeries:
     """Build a QPSeries from raw accumulated values.
 
     The canonical representative's value is broadcast over its whole orbit,
@@ -122,50 +124,35 @@ def symmetrized(d: int, acc: dict[Index, float], drop_tol: float = 0.0) -> QPSer
         if not is_canonical(j):
             continue
         v = acc[j]
-        if abs(v) < drop_tol or v == 0.0:
+        if v == 0.0:
             continue
         for o in orbit(j):
             out[o] = v
     return QPSeries(d, out, validate=False)
 
 
-def convolve(A: QPSeries, B: QPSeries, box: Region | None = None, drop_tol: float = 0.0) -> QPSeries:
-    """Discrete convolution (A*B)(j) = sum_k A(k) B(j-k), restricted to box.
-
-    Each retained value is the exact full sum; the box only limits which
-    output sites are kept.  Requires an orbit-closed box so the result can
-    stay symmetric.
-    """
+def convolve(A: QPSeries, B: QPSeries) -> QPSeries:
+    """Discrete convolution (A*B)(j) = sum_k A(k) B(j-k) on its full support."""
     if A.d != B.d:
         raise ValueError("dimension mismatch between convolution factors")
-    if box is not None and not box.is_orbit_closed():
-        raise ValueError("convolution box must be orbit-closed")
     if A.support_size() > B.support_size():
         A, B = B, A
     acc: dict[Index, float] = {}
-    a_items = A.items_sorted()
     b_items = B.items_sorted()
-    n = None if box is None else box.N
-    contains = box.contains if box is not None else None
-    for ja, va in a_items:
+    for ja, va in A.items_sorted():
         for jb, vb in b_items:
             j = tuple(x + y for x, y in zip(ja, jb))
-            if n is not None:
-                if any(abs(c) > n for c in j):
-                    continue
-                if not contains(j):
-                    continue
             acc[j] = acc.get(j, 0.0) + va * vb
-    return symmetrized(A.d, acc, drop_tol)
+    return symmetrized(A.d, acc)
 
 
-def conv_power(A: QPSeries, m: int, box: Region | None = None, drop_tol: float = 0.0) -> QPSeries:
-    """m-fold convolution power with each intermediate product truncated to box."""
+def conv_power(A: QPSeries, m: int) -> QPSeries:
+    """m-fold convolution power A * ... * A, multiplied left to right."""
     if m < 1:
         raise ValueError("convolution power needs m >= 1")
     out = A
     for _ in range(m - 1):
-        out = convolve(out, A, box, drop_tol)
+        out = convolve(out, A)
     return out
 
 

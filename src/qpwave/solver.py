@@ -9,9 +9,10 @@ The equations on the resonant orbit S = orbit(jtilde) are solved for E with
 the amplitudes there pinned to a / 2^d (the bifurcation parameter); the
 remaining equations are solved for u by Newton steps whose linearizations
 are truncated to growing boxes N_r = min(M^r, N_max) with the iterate's
-support truncated alongside.  Each step reuses one convolution power for
-both the eigenvalue update and the right-hand side, so the pinned equations
-cancel to rounding.
+support truncated alongside.  Each iterate's convolution chain is formed
+once (powers): u^(*2p) times 2p+1 is the next step's kernel, and
+u^(*(2p+1)) feeds both the eigenvalue update and the residual, so the
+pinned equations cancel to rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from . import lattice
 from .lattice import Frequency, Index, Region, linf, nonzero_block_count, orbit, symbol
 from .linop import ReducedOperator
-from .series import QPSeries, conv_power, symmetrized, truncate
+from .series import QPSeries, conv_power, convolve, symmetrized, truncate
 
 
 class MixedDegenerateIndex(Exception):
@@ -186,9 +187,11 @@ def initial_guess(cfg: ProblemConfig) -> tuple[QPSeries, float]:
     return u0, symbol(cfg.jtilde, cfg.lam)
 
 
-def _nonlinear_power(u: QPSeries, p: int, drop_tol: float = 0.0) -> QPSeries:
-    """u^(*(2p+1)) on its full natural support (values are exact sums)."""
-    return conv_power(u, 2 * p + 1, box=None, drop_tol=drop_tol)
+def powers(u: QPSeries, p: int) -> tuple[QPSeries, QPSeries]:
+    """(u^(*2p), u^(*(2p+1))): the kernel's power and the nonlinear term,
+    from one chain of convolutions."""
+    half = conv_power(u, 2 * p)
+    return half, convolve(half, u)
 
 
 def q_update(u: QPSeries, cfg: ProblemConfig, power: QPSeries | None = None) -> float:
@@ -201,7 +204,7 @@ def q_update(u: QPSeries, cfg: ProblemConfig, power: QPSeries | None = None) -> 
     if got != pin:
         raise ValueError(f"amplitude at jtilde is {got!r}, expected pinned value {pin!r}")
     if power is None:
-        power = _nonlinear_power(u, cfg.p)
+        power = powers(u, cfg.p)[1]
     mult = 2 ** nonzero_block_count(cfg.jtilde)
     return symbol(cfg.jtilde, cfg.lam) - (mult / cfg.a) * power.get(cfg.jtilde)
 
@@ -210,7 +213,7 @@ def residual(u: QPSeries, E: float, lam: Frequency, p: int,
              box: Region | None = None, power: QPSeries | None = None) -> QPSeries:
     """F(u)(j) = (symbol(j) - E) u(j) - u^(*(2p+1))(j), restricted to box."""
     if power is None:
-        power = _nonlinear_power(u, p)
+        power = powers(u, p)[1]
     acc: dict[Index, float] = {}
     for j in set(u.coeffs) | set(power.coeffs):
         if box is not None and not box.contains(j):
@@ -219,15 +222,17 @@ def residual(u: QPSeries, E: float, lam: Frequency, p: int,
     return symmetrized(u.d, acc)
 
 
-def newton_step(u: QPSeries, E: float, cfg: ProblemConfig, N: int) -> tuple[QPSeries, float]:
+def newton_step(u: QPSeries, E: float, cfg: ProblemConfig, N: int,
+                chain: tuple[QPSeries, QPSeries] | None = None) -> tuple[QPSeries, float]:
     """One truncated Newton increment on the box minus the resonant orbit.
 
     Returns (increment, residual norm before the step).  The increment is
-    supported inside the box with the pinned orbit untouched.  Asserts that
-    the pinned equations vanish for the supplied E, which they must when E
-    came from q_update on the same iterate.
+    supported inside the box with the pinned orbit untouched.  chain is
+    powers(u, cfg.p), formed here when not supplied.  Asserts that the
+    pinned equations vanish for the supplied E, which they must when E came
+    from q_update on the same iterate.
     """
-    power = _nonlinear_power(u, cfg.p)
+    half, power = powers(u, cfg.p) if chain is None else chain
     F = residual(u, E, cfg.lam, cfg.p, box=None, power=power)
     if cfg.a > 0:
         q_resid = abs(F.get(cfg.jtilde))
@@ -236,7 +241,7 @@ def newton_step(u: QPSeries, E: float, cfg: ProblemConfig, N: int) -> tuple[QPSe
                 f"pinned equations not solved: |F(jtilde)| = {q_resid:.3e} > 1e-15*a"
             )
     region = Region.box_minus(N, cfg.resonant_set())
-    op = ReducedOperator(u, E, cfg.lam, region, cfg.p)
+    op = ReducedOperator(half.scale(2.0 * cfg.p + 1.0), E, cfg.lam, region)
     w = op.solve_series(F)
     return w.scale(-1.0), F.l2_norm()
 
@@ -275,9 +280,9 @@ def solve(cfg: ProblemConfig, precheck: bool = True) -> SolutionRecord:
     trace = NewtonTrace()
 
     u, _ = initial_guess(cfg)
-    power = _nonlinear_power(u, cfg.p)
-    E = q_update(u, cfg, power=power)
-    resid = residual(u, E, cfg.lam, cfg.p, box=final_box, power=power).l2_norm()
+    chain = powers(u, cfg.p)
+    E = q_update(u, cfg, power=chain[1])
+    resid = residual(u, E, cfg.lam, cfg.p, box=final_box, power=chain[1]).l2_norm()
     accepted = resid <= cfg.residual_tol
 
     def make_record(accepted_flag: bool) -> SolutionRecord:
@@ -298,12 +303,12 @@ def solve(cfg: ProblemConfig, precheck: bool = True) -> SolutionRecord:
         t0 = time.perf_counter()
         N_r = min(cfg.M ** r, cfg.N_max)
         E_r = E  # q_update of the current iterate, computed when it was formed
-        delta, _ = newton_step(u, E_r, cfg, N_r)
+        delta, _ = newton_step(u, E_r, cfg, N_r, chain)
         u = truncate(u.add(delta), Region.full_box(N_r), cfg.drop_tol)
         _assert_iterate_invariants(u, cfg)
-        power = _nonlinear_power(u, cfg.p)
-        E = q_update(u, cfg, power=power)
-        resid = residual(u, E, cfg.lam, cfg.p, box=final_box, power=power).l2_norm()
+        chain = powers(u, cfg.p)
+        E = q_update(u, cfg, power=chain[1])
+        resid = residual(u, E, cfg.lam, cfg.p, box=final_box, power=chain[1]).l2_norm()
         trace.append(TraceStep(
             r=r, N=N_r, incr_norm=delta.l2_norm(), resid_norm=resid, E=E_r,
             support=u.support_size(), seconds=time.perf_counter() - t0,

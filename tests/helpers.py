@@ -38,6 +38,22 @@ def brute_conv_power(A: dict, m: int) -> dict:
     return out
 
 
+def count_convolutions(monkeypatch) -> dict:
+    """Count series.convolve calls, also through solver's bound name."""
+    from qpwave import series, solver
+
+    calls = {"n": 0}
+    real = series.convolve
+
+    def counted(A, B):
+        calls["n"] += 1
+        return real(A, B)
+
+    monkeypatch.setattr(series, "convolve", counted)
+    monkeypatch.setattr(solver, "convolve", counted)
+    return calls
+
+
 def seed_series(d: int, a: float) -> QPSeries:
     """The pinned seed profile with all-ones blocks."""
     j = (1,) * (2 * d)

@@ -43,7 +43,7 @@ def test_criterion_1_convolution_golden():
         b1, b2 = (1, 2), (2, -1)
         jt = (*b1, *b2)
         v = QPSeries(2, {o: 0.25 for o in orbit(jt)})  # a = 1, value a/2^d
-        sq = convolve(v, v, Region.full_box(8))
+        sq = convolve(v, v)
         expected = {(0, 0, 0, 0): 0.25}
         for s in (1, -1):
             expected[(2 * s * b1[0], 2 * s * b1[1], 0, 0)] = 0.125

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import GOOD_JT, GOOD_LAM
+from helpers import GOOD_JT, GOOD_LAM, count_convolutions
 from qpwave import cli
 from qpwave.cli import CorruptFile, SchemaVersionMismatch, load_solution, store_solution
 from qpwave.solver import ProblemConfig, solve
@@ -31,6 +31,14 @@ def test_solve_writes_artifacts_and_verifies(tmp_path):
     header = trace.read_text().splitlines()[0]
     assert header == "r,N,incr_norm,resid_norm,E,support,seconds"
     assert cli.main(["verify", "--in", str(sol)]) == 0
+
+
+@pytest.mark.parametrize("p", ["1", "2"])
+def test_verify_forms_one_convolution_chain(tmp_path, monkeypatch, p):
+    assert cli.main(solve_args(tmp_path, ["--p", p])) == 0
+    calls = count_convolutions(monkeypatch)
+    assert cli.main(["verify", "--in", str(tmp_path / "solution.json")]) == 0
+    assert calls["n"] == 2 * int(p)
 
 
 def test_solve_rejects_planted_resonance(tmp_path, capsys):
@@ -157,18 +165,6 @@ def test_sweep_lambda_byte_identical_reruns(tmp_path):
         outs.append(out)
     assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
     assert (outs[0] / "samples.csv").read_bytes() == (outs[1] / "samples.csv").read_bytes()
-
-
-def test_sweep_lambda_threads_env(tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "serial", tmp_path / "par"
-    args = ["sweep-lambda", "--d", "1", "--p", "1", "--a", "0.01",
-            "--jtilde", JT_STR, "--lambda", LAM_STR,
-            "--n-samples", "4", "--seed", "2", "--greens-n", "6"]
-    monkeypatch.setenv("QPWAVE_THREADS", "1")
-    assert cli.main(args + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("QPWAVE_THREADS", "3")
-    assert cli.main(args + ["--out", str(out2)]) == 0
-    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
 def test_greens_command(tmp_path):

@@ -245,12 +245,6 @@ def test_lambda_sweep_deterministic_given_seed():
     assert json.dumps(r1.to_json_dict()) == json.dumps(r2.to_json_dict())
 
 
-def test_lambda_sweep_parallel_matches_serial():
-    r1 = lambda_sweep(good_cfg(), n_samples=6, seed=5, greens_N=6, max_workers=1)
-    r2 = lambda_sweep(good_cfg(), n_samples=6, seed=5, greens_N=6, max_workers=3)
-    assert json.dumps(r1.to_json_dict()) == json.dumps(r2.to_json_dict())
-
-
 def test_lambda_sweep_small_sample_fraction():
     report = lambda_sweep(good_cfg(), n_samples=30, seed=2, greens_N=6)
     assert report.theorem_bound == pytest.approx(1.0 - 0.01 ** (1.0 / 6.0))

@@ -7,6 +7,7 @@ from helpers import (
     GOOD_LAM,
     GOOD_LAM_D2,
     assembly_oracle,
+    brute_conv_power,
     random_symmetric_series,
     seed_series,
     theta_symbol,
@@ -20,6 +21,7 @@ from qpwave.linop import (
     assemble,
     covariance_discrepancy,
     greens_profile,
+    kernel_series,
     solve_linear,
 )
 from qpwave.series import QPSeries
@@ -221,11 +223,26 @@ def _reduced_action(red):
     return (M / sq[:, None]) * sq[None, :]
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_assemble_kernel_is_exact_convolution_power(p):
+    # the kernel reaches past 2N, so a box on its intermediate products would
+    # drop terms of the offsets the operator reads
+    rng = np.random.default_rng(14)
+    u = random_symmetric_series(1, rng, n_orbits=4, box_n=3)
+    assert u.support_radius() == 3
+    T = assemble(u, 0.0, GOOD_LAM, None, Region.full_box(2), p)
+    oracle = brute_conv_power(u.coeffs, 2 * p)
+    scale = max(abs(v) for v in oracle.values())
+    for j in enumerate_region(Region.full_box(4), 1):
+        expected = (2 * p + 1) * oracle.get(j, 0.0)
+        assert T.kernel.get(j) == pytest.approx(expected, rel=1e-14, abs=1e-14 * scale)
+
+
 def test_reduced_operator_matches_full_on_symmetric_vectors():
     rng = np.random.default_rng(6)
     u = random_symmetric_series(1, rng, n_orbits=4, box_n=2, scale=0.1)
     region = Region.box_minus(3, orbit((1, 1)))
-    red = ReducedOperator(u, 0.8, GOOD_LAM, region, p=1)
+    red = ReducedOperator(kernel_series(u, 1), 0.8, GOOD_LAM, region)
     T = assemble(u, 0.8, GOOD_LAM, None, region, p=1)
     # random symmetric vector via a random series
     w = random_symmetric_series(1, rng, n_orbits=5, box_n=3)
@@ -241,7 +258,7 @@ def test_reduced_operator_matches_full_on_symmetric_vectors():
 def test_reduced_matrix_nearly_symmetric():
     rng = np.random.default_rng(7)
     u = random_symmetric_series(2, rng, n_orbits=3, box_n=1, scale=0.2)
-    red = ReducedOperator(u, 0.4, D2_LAM, Region.full_box(2), p=1)
+    red = ReducedOperator(kernel_series(u, 1), 0.4, D2_LAM, Region.full_box(2))
     M = red.matrix()
     scale = np.max(np.abs(M))
     assert np.max(np.abs(M - M.T)) <= 1e-14 * scale
@@ -251,7 +268,7 @@ def test_reduced_solve_matches_full_solve():
     rng = np.random.default_rng(8)
     u = random_symmetric_series(1, rng, n_orbits=3, box_n=2, scale=0.05)
     region = Region.box_minus(4, orbit((1, 1)))
-    red = ReducedOperator(u, -1.2, GOOD_LAM, region, p=1)
+    red = ReducedOperator(kernel_series(u, 1), -1.2, GOOD_LAM, region)
     rhs = random_symmetric_series(1, rng, n_orbits=4, box_n=3)
     w_series = red.solve_series(rhs)
     T = assemble(u, -1.2, GOOD_LAM, None, region, p=1)
@@ -264,7 +281,7 @@ def test_reduced_solve_matches_full_solve():
 def test_reduced_requires_orbit_closed_region():
     u = QPSeries.zero(1)
     with pytest.raises(ValueError):
-        ReducedOperator(u, 0.0, GOOD_LAM, Region.box_minus(3, [(1, 1)]), p=1)
+        ReducedOperator(kernel_series(u, 1), 0.0, GOOD_LAM, Region.box_minus(3, [(1, 1)]))
 
 
 def test_newton_increment_solves_linearized_equation():
@@ -289,7 +306,7 @@ def test_reduced_solve_matches_dense_oracle():
     rng = np.random.default_rng(9)
     u = random_symmetric_series(1, rng, n_orbits=3, box_n=2, scale=0.05)
     region = Region.box_minus(5, orbit((1, 1)))
-    red = ReducedOperator(u, -1.0, GOOD_LAM, region, p=1)
+    red = ReducedOperator(kernel_series(u, 1), -1.0, GOOD_LAM, region)
     rhs = random_symmetric_series(1, rng, n_orbits=4, box_n=4)
     w = red.solve_series(rhs)
     rhs_vec = np.array([rhs.get(tuple(map(int, s))) for s in red.sites])
@@ -312,7 +329,7 @@ def test_reduced_matrix_matches_definition(d, N, lam, jt, p):
     u = random_symmetric_series(d, rng, n_orbits=3 if d == 1 else 2, box_n=2, scale=0.1)
     u = u.add(QPSeries.delta(d, 0.05, (3, 1) if d == 1 else (2, 0, 0, 1)))
     region = Region.box_minus(N, orbit(jt))
-    red = ReducedOperator(u, -0.7, lam, region, p=p)
+    red = ReducedOperator(kernel_series(u, p), -0.7, lam, region)
     assert red.kernel.support_radius() > N
     sites = [j for j in enumerate_region(region, d) if is_canonical(j)]
     assert [tuple(map(int, s)) for s in red.sites] == sites

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import GOOD_LAM, GOOD_LAM_D2, assembly_oracle
 from qpwave.lattice import Region, canonical, enumerate_region, is_canonical, orbit, symbol
-from qpwave.linop import ReducedOperator, assemble
+from qpwave.linop import ReducedOperator, assemble, kernel_series
 from qpwave.series import QPSeries
 
 
@@ -47,7 +47,7 @@ def test_table_assembly_and_series_solve_match_definition(inst):
     E = -1.0  # below the spectrum of the symbol, so the small-kernel solve is regular
 
     region = Region.box_minus(N, orbit(jtilde))
-    red = ReducedOperator(u, E, lam, region, p)
+    red = ReducedOperator(kernel_series(u, p), E, lam, region)
     sites = [j for j in enumerate_region(region, d) if is_canonical(j)]
     M_def = assembly_oracle(sites, [symbol(j, lam) - E for j in sites], red.kernel,
                             region.contains, rep=canonical,

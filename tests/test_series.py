@@ -21,8 +21,7 @@ def test_delta_is_convolution_identity():
     rng = np.random.default_rng(0)
     A = random_symmetric_series(1, rng, n_orbits=5, box_n=3)
     delta = QPSeries.delta(1, 1.0)
-    box = Region.full_box(10)
-    C = convolve(delta, A, box)
+    C = convolve(delta, A)
     assert C.coeffs == pytest.approx(A.coeffs)
 
 
@@ -31,7 +30,7 @@ def test_pair_convolution_matrix_d2():
     # single-block doublings, 1/16 on the four corners
     jt = (1, 2, 2, -1)
     v = QPSeries(2, {o: 0.25 for o in orbit(jt)})
-    sq = convolve(v, v, Region.full_box(10))
+    sq = convolve(v, v)
     b1, b2 = (1, 2), (2, -1)
     expected = {(0, 0, 0, 0): 0.25}
     for s in (1, -1):
@@ -80,9 +79,8 @@ def test_conv_power_seed_value_counts_sign_patterns(d):
 def test_conv_power_associativity():
     rng = np.random.default_rng(2)
     A = random_symmetric_series(1, rng, n_orbits=4, box_n=2)
-    box = Region.full_box(20)
-    p4 = conv_power(A, 4, box)
-    p22 = convolve(conv_power(A, 2, box), conv_power(A, 2, box), box)
+    p4 = conv_power(A, 4)
+    p22 = convolve(conv_power(A, 2), conv_power(A, 2))
     assert set(p4.coeffs) == set(p22.coeffs)
     scale = max(abs(v) for v in p4.coeffs.values())
     for j in p4.coeffs:
@@ -93,9 +91,8 @@ def test_convolution_commutative_and_symmetric():
     rng = np.random.default_rng(3)
     A = random_symmetric_series(2, rng, n_orbits=3, box_n=2)
     B = random_symmetric_series(2, rng, n_orbits=3, box_n=2)
-    box = Region.full_box(6)
-    AB = convolve(A, B, box)
-    BA = convolve(B, A, box)
+    AB = convolve(A, B)
+    BA = convolve(B, A)
     assert set(AB.coeffs) == set(BA.coeffs)
     for j, v in AB.coeffs.items():
         assert BA.get(j) == pytest.approx(v, rel=1e-13, abs=1e-16)
@@ -136,7 +133,7 @@ def test_evaluate_multiplicativity_under_convolution():
     rng = np.random.default_rng(5)
     A = random_symmetric_series(1, rng, n_orbits=3, box_n=2)
     B = random_symmetric_series(1, rng, n_orbits=3, box_n=2)
-    C = convolve(A, B)  # no truncation
+    C = convolve(A, B)
     for _ in range(20):
         x = [float(rng.uniform(-5, 5))]
         va, vb, vc = evaluate(A, GOOD_LAM, x), evaluate(B, GOOD_LAM, x), evaluate(C, GOOD_LAM, x)

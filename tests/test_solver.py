@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import GOOD_JT, GOOD_JT_D2, GOOD_LAM, GOOD_LAM_D2, brute_conv_power, seed_series
+from helpers import GOOD_JT, GOOD_JT_D2, GOOD_LAM, GOOD_LAM_D2, brute_conv_power, count_convolutions, seed_series
 from qpwave import solver
 from qpwave.lattice import Region, orbit, symbol
 from qpwave.series import QPSeries, evaluate
@@ -255,14 +255,30 @@ def test_diverged_increment_detected(monkeypatch):
     calls = {"n": 0}
     real_step = solver.newton_step
 
-    def fake_step(u, E, cfg, N):
+    def fake_step(u, E, cfg, N, chain=None):
         calls["n"] += 1
-        delta, resid = real_step(u, E, cfg, N)
+        delta, resid = real_step(u, E, cfg, N, chain)
         return delta.scale(10.0 ** calls["n"]), resid
 
     monkeypatch.setattr(solver, "newton_step", fake_step)
     with pytest.raises(DivergedIncrement):
         solve(good_cfg(a=0.1, residual_tol=1e-16, max_steps=8))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+def test_solve_forms_one_convolution_chain_per_iterate(monkeypatch, d, p):
+    # u^(*2p) takes 2p - 1 products and u^(*(2p+1)) one more; each iterate,
+    # the seed included, forms that chain once for its kernel, E and residual
+    if d == 1:
+        cfg = good_cfg(p=p, a=0.05)
+    else:
+        cfg = ProblemConfig(d=2, p=p, a=0.05, jtilde=GOOD_JT_D2, lam=GOOD_LAM_D2, M=2, N_max=4)
+    calls = count_convolutions(monkeypatch)
+    rec = solve(cfg, precheck=False)
+    steps = len(rec.trace.steps)
+    assert rec.accepted and steps >= 2
+    assert calls["n"] == 2 * p * (steps + 1)
 
 
 def test_solve_d2_end_to_end():
