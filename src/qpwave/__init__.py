@@ -8,7 +8,6 @@ from .lattice import (
     Region,
     block_inner,
     canonical,
-    enumerate_region,
     orbit,
     symbol,
 )

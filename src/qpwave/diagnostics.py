@@ -195,7 +195,9 @@ def _sweep_one(cfg: ProblemConfig, idx: int, lam_flat, sep_N: int, greens_N: int
         T = linop.assemble(rec.u, rec.E, lam, None, region, cfg_s.p)
         prof = linop.greens_profile(T)
         beta = prof.decay.rate if prof.decay else None
-    except Exception:
+    except (linop.SingularOperator, MemoryError):
+        # a resonant profile box, or a dense inverse too large to allocate
+        # (d=2 at the default --greens-n); anything else is a bug
         pass
     return SampleResult(idx, lam, dio, sep, True, True, "accepted",
                         rec.diagnostics.get("final_residual"), beta)

@@ -204,20 +204,6 @@ class Region:
         }
 
 
-def enumerate_region(region: Region, d: int) -> list[Index]:
-    """All sites of the region in lexicographic order on flattened coordinates."""
-    if region.kind == GENERALIZED_BOX and len(region.constraints) != 2 * d:
-        raise ValueError(f"generalized box has {len(region.constraints)} constraints, expected {2 * d}")
-    rng = range(-region.N, region.N + 1)
-    out = []
-    for j in itertools.product(rng, repeat=2 * d):
-        if region.kind == FULL_BOX:
-            out.append(j)
-        elif region.contains(j):
-            out.append(j)
-    return out
-
-
 def sites_array(region: Region, d: int) -> np.ndarray:
     """Region sites as an (n, 2d) int64 array in lexicographic order."""
     N = region.N
@@ -240,15 +226,37 @@ def encode(pts: np.ndarray, bound: int) -> np.ndarray:
     return (pts.astype(np.int64) + bound) @ weights
 
 
+def _block_flips(pts: np.ndarray, k: int) -> np.ndarray:
+    """Rows whose block starting at column k is not in canonical form."""
+    a, b = pts[:, k], pts[:, k + 1]
+    return (a < 0) | ((a == 0) & (b < 0))
+
+
 def canonicalize_array(pts: np.ndarray) -> np.ndarray:
     """Vectorized per-block canonical representative of each row."""
     out = pts.copy()
     for k in range(0, pts.shape[1], 2):
-        a, b = out[:, k], out[:, k + 1]
-        flip = (a < 0) | ((a == 0) & (b < 0))
+        flip = _block_flips(out, k)
         out[flip, k] *= -1
         out[flip, k + 1] *= -1
     return out
+
+
+def is_canonical_array(pts: np.ndarray) -> np.ndarray:
+    """Vectorized is_canonical: True for rows that are their own representative."""
+    keep = np.ones(len(pts), dtype=bool)
+    for k in range(0, pts.shape[1], 2):
+        keep &= ~_block_flips(pts, k)
+    return keep
+
+
+def orbits_array(pts: np.ndarray) -> np.ndarray:
+    """Every per-block sign flip of every row: (2**d * n, 2d), sign pattern
+    major (rows k*n .. k*n + n - 1 are pattern k applied to pts).  Rows with
+    zero blocks repeat members."""
+    d = pts.shape[1] // 2
+    flips = np.repeat(np.array(list(itertools.product((1, -1), repeat=d)), dtype=np.int64), 2, axis=1)
+    return (flips[:, None, :] * pts[None, :, :]).reshape(-1, 2 * d)
 
 
 def orbit_sizes_array(pts: np.ndarray) -> np.ndarray:

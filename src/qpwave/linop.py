@@ -55,7 +55,7 @@ import scipy.sparse.linalg as spla
 
 from . import lattice
 from .lattice import Frequency, Index, Region
-from .series import DecayFit, InsufficientData, QPSeries, conv_power, fit_shell_decay
+from .series import DecayFit, InsufficientData, QPSeries, conv_power, fit_shell_decay, from_canonical_arrays
 
 # A solve whose floating-point residual floor exceeds this has no
 # significant digits left; treat it as resonance.
@@ -484,5 +484,4 @@ class ReducedOperator:
         rhs_vec[rows] = vals[i]
         w = self.solve(rhs_vec, tol=tol)
         nz = np.nonzero(w)[0]
-        canon = dict(zip(map(tuple, self.sites[nz].tolist()), w[nz].tolist()))
-        return QPSeries.from_canonical(self.d, canon)
+        return from_canonical_arrays(self.d, self.sites[nz], w[nz])

@@ -8,9 +8,12 @@ solver happens.  The cosine coefficient of the profile at a canonical site
 j is 2**m(j) times the stored value, m(j) = number of nonzero blocks; that
 factor appears only in physical-space evaluation.
 
-Convolutions are computed by direct sparse accumulation with a fixed
-(sorted) summation order, then broadcast across each orbit from its
-canonical representative so the symmetry invariant holds to the last bit.
+Convolutions are computed by direct sparse accumulation on integer site
+arrays: every pair of factor sites whose sum is canonical contributes its
+product, and each canonical value is a bincount in sorted pair order
+((sorted A) x (sorted B)), so the result does not depend on dict order.
+That value is then broadcast across its orbit so the symmetry invariant
+holds to the last bit.
 Every convolution value is the exact full sum over all pairs of factor
 sites, on the product's whole support; the only truncation is truncate().
 """
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Index, Region, canonical, is_canonical, linf, orbit
+from .lattice import Index, Region, canonical, is_canonical, is_canonical_array, linf, orbit, orbits_array
 
 
 class InsufficientData(Exception):
@@ -68,13 +71,11 @@ class QPSeries:
     @staticmethod
     def from_canonical(d: int, canon: dict[Index, float]) -> "QPSeries":
         """Expand a map given on canonical representatives to full orbits."""
-        out = {}
-        for j, v in canon.items():
-            if not is_canonical(j):
-                raise ValueError(f"{j} is not a canonical representative")
-            for o in orbit(j):
-                out[o] = float(v)
-        return QPSeries(d, out, validate=False)
+        sites, vals = _arrays(d, canon)
+        bad = ~is_canonical_array(sites)
+        if np.any(bad):
+            raise ValueError(f"{tuple(sites[np.argmax(bad)].tolist())} is not a canonical representative")
+        return from_canonical_arrays(d, sites, vals)
 
     def get(self, j: Index) -> float:
         return self.coeffs.get(j, 0.0)
@@ -112,38 +113,61 @@ class QPSeries:
         return f"QPSeries(d={self.d}, support={self.support_size()}, l2={self.l2_norm():.3e})"
 
 
-def symmetrized(d: int, acc: dict[Index, float]) -> QPSeries:
-    """Build a QPSeries from raw accumulated values.
+def _arrays(d: int, coeffs: dict[Index, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Sites of a coefficient map as an (n, 2d) int64 array, values as floats,
+    both in the map's own order."""
+    sites = np.array(list(coeffs), dtype=np.int64).reshape(-1, 2 * d)
+    if sites.shape[0] != len(coeffs):
+        raise ValueError(f"sites must have {2 * d} coordinates")
+    return sites, np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
 
-    The canonical representative's value is broadcast over its whole orbit,
-    which makes the symmetry exact even when the accumulation order differed
-    between orbit members by rounding.
+
+def _sorted_arrays(A: QPSeries) -> tuple[np.ndarray, np.ndarray]:
+    """A's sites and values in items_sorted() (lexicographic) order."""
+    sites, vals = _arrays(A.d, A.coeffs)
+    order = np.lexsort(sites.T[::-1])
+    return sites[order], vals[order]
+
+
+def from_canonical_arrays(d: int, sites: np.ndarray, vals: np.ndarray) -> QPSeries:
+    """QPSeries carrying vals[i] on the whole orbit of sites[i].
+
+    sites is an (n, 2d) int array of distinct canonical representatives;
+    they are not checked (from_canonical checks its input).
     """
-    out = {}
-    for j in sorted(acc):
-        if not is_canonical(j):
-            continue
-        v = acc[j]
-        if v == 0.0:
-            continue
-        for o in orbit(j):
-            out[o] = v
-    return QPSeries(d, out, validate=False)
+    members = orbits_array(sites).tolist()  # sign pattern major
+    return QPSeries(d, dict(zip(map(tuple, members), vals.tolist() * 2 ** d)), validate=False)
 
 
 def convolve(A: QPSeries, B: QPSeries) -> QPSeries:
-    """Discrete convolution (A*B)(j) = sum_k A(k) B(j-k) on its full support."""
+    """Discrete convolution (A*B)(j) = sum_k A(k) B(j-k) on its full support.
+
+    Each canonical value is accumulated over the pairs (sorted A) x (sorted
+    B) whose site sum it is, in that order, with the smaller factor outer;
+    the other orbit members take their representative's value.
+    """
     if A.d != B.d:
         raise ValueError("dimension mismatch between convolution factors")
     if A.support_size() > B.support_size():
         A, B = B, A
-    acc: dict[Index, float] = {}
-    b_items = B.items_sorted()
-    for ja, va in A.items_sorted():
-        for jb, vb in b_items:
-            j = tuple(x + y for x, y in zip(ja, jb))
-            acc[j] = acc.get(j, 0.0) + va * vb
-    return symmetrized(A.d, acc)
+    d = A.d
+    ja, va = _sorted_arrays(A)
+    jb, vb = _sorted_arrays(B)
+    sums = (ja[:, None, :] + jb[None, :, :]).reshape(-1, 2 * d)
+    prods = (va[:, None] * vb[None, :]).ravel()
+    keep = is_canonical_array(sums)
+    if not keep.any():
+        return QPSeries.zero(d)
+    sums, prods = sums[keep], prods[keep]
+    lo = sums.min(axis=0)
+    shape = tuple((sums.max(axis=0) - lo + 1).tolist())
+    codes = np.ravel_multi_index(tuple((sums - lo).T), shape)
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    # bincount adds each bin's weights in input order, starting from 0.0
+    acc = np.bincount(inverse, weights=prods, minlength=len(uniq))
+    nz = acc != 0.0
+    sites = np.stack(np.unravel_index(uniq[nz], shape), axis=1) + lo
+    return from_canonical_arrays(d, sites, acc[nz])
 
 
 def conv_power(A: QPSeries, m: int) -> QPSeries:
@@ -187,17 +211,11 @@ def truncate(A: QPSeries, box: Region, drop_tol: float = 0.0) -> QPSeries:
     """
     if drop_tol < 0:
         raise ValueError("drop_tol must be >= 0")
-    out = {}
-    for j, v in A.coeffs.items():
-        if not is_canonical(j):
-            continue
-        if abs(v) < drop_tol or v == 0.0:
-            continue
-        members = orbit(j)
-        if all(box.contains(o) for o in members):
-            for o in members:
-                out[o] = v
-    return QPSeries(A.d, out, validate=False)
+    sites, vals = _arrays(A.d, A.coeffs)
+    keep = is_canonical_array(sites) & (vals != 0.0) & ~(np.abs(vals) < drop_tol)
+    sites, vals = sites[keep], vals[keep]
+    inside = box.contains_array(orbits_array(sites)).reshape(2 ** A.d, -1).all(axis=0)
+    return from_canonical_arrays(A.d, sites[inside], vals[inside])
 
 
 @dataclass(frozen=True)

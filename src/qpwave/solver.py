@@ -20,10 +20,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import lattice
 from .lattice import Frequency, Index, Region, linf, nonzero_block_count, orbit, symbol
 from .linop import ReducedOperator
-from .series import QPSeries, conv_power, convolve, symmetrized, truncate
+from .series import QPSeries, conv_power, convolve, from_canonical_arrays, truncate
 
 
 class MixedDegenerateIndex(Exception):
@@ -214,12 +216,18 @@ def residual(u: QPSeries, E: float, lam: Frequency, p: int,
     """F(u)(j) = (symbol(j) - E) u(j) - u^(*(2p+1))(j), restricted to box."""
     if power is None:
         power = powers(u, p)[1]
-    acc: dict[Index, float] = {}
-    for j in set(u.coeffs) | set(power.coeffs):
-        if box is not None and not box.contains(j):
-            continue
-        acc[j] = (symbol(j, lam) - E) * u.get(j) - power.get(j)
-    return symmetrized(u.d, acc)
+    sites = list(u.coeffs.keys() | power.coeffs.keys())
+    pts = np.array(sites, dtype=np.int64).reshape(-1, 2 * u.d)
+    canon = lattice.is_canonical_array(pts)
+    pts = pts[canon]
+    sites = [sites[i] for i in np.flatnonzero(canon).tolist()]
+    uv = np.array([u.get(j) for j in sites], dtype=float)
+    pv = np.array([power.get(j) for j in sites], dtype=float)
+    vals = (lattice.symbol_array(pts, lam) - E) * uv - pv
+    keep = vals != 0.0
+    if box is not None:
+        keep &= box.contains_array(pts)
+    return from_canonical_arrays(u.d, pts[keep], vals[keep])
 
 
 def newton_step(u: QPSeries, E: float, cfg: ProblemConfig, N: int,

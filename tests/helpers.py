@@ -2,13 +2,16 @@
 
 The brute-force convolutions here are deliberately independent of the
 package's sparse accumulation path: plain nested loops over dictionary
-items, no boxes, no symmetrization.
+items, no boxes, no symmetrization.  The sorted-loop oracles are the
+package's earlier per-pair and per-site loops, kept to pin the array code
+to them bit for bit.
 """
 
 import itertools
 
 import numpy as np
 
+from qpwave.lattice import canonical, is_canonical, orbit, sites_array
 from qpwave.series import QPSeries
 
 # Frequencies with healthy Diophantine and separation margins, used as the
@@ -20,6 +23,11 @@ GOOD_JT = (1, 1)
 GOOD_LAM_D2 = (1.4454299788962155, 1.1401582190443373,
                1.0719768142666535, 1.1866526052832143)
 GOOD_JT_D2 = (1, 0, 0, 1)
+
+
+def site_tuples(region, d: int) -> list[tuple[int, ...]]:
+    """The region's sites as tuples, in sites_array's lexicographic order."""
+    return list(map(tuple, sites_array(region, d).tolist()))
 
 
 def brute_convolve(A: dict, B: dict) -> dict:
@@ -35,6 +43,46 @@ def brute_conv_power(A: dict, m: int) -> dict:
     out = dict(A)
     for _ in range(m - 1):
         out = brute_convolve(out, A)
+    return out
+
+
+def loop_symmetrized(acc: dict) -> dict:
+    """Each canonical site's accumulated value on its whole orbit, exact
+    zeros dropped."""
+    out = {}
+    for j in sorted(acc):
+        if not is_canonical(j):
+            continue
+        v = acc[j]
+        if v == 0.0:
+            continue
+        for o in orbit(j):
+            out[o] = v
+    return out
+
+
+def sorted_loop_convolve(A: QPSeries, B: QPSeries) -> dict:
+    """Coefficients of A * B accumulated one pair at a time, (sorted A) x
+    (sorted B) with the smaller factor outer, then symmetrized."""
+    if A.support_size() > B.support_size():
+        A, B = B, A
+    acc = {}
+    b_items = B.items_sorted()
+    for ja, va in A.items_sorted():
+        for jb, vb in b_items:
+            j = tuple(x + y for x, y in zip(ja, jb))
+            acc[j] = acc.get(j, 0.0) + va * vb
+    return loop_symmetrized(acc)
+
+
+def orbit_loop_from_canonical(canon: dict) -> dict:
+    """A map on canonical representatives expanded orbit by orbit."""
+    out = {}
+    for j, v in canon.items():
+        if not is_canonical(j):
+            raise ValueError(f"{j} is not a canonical representative")
+        for o in orbit(j):
+            out[o] = float(v)
     return out
 
 
@@ -57,8 +105,6 @@ def count_convolutions(monkeypatch) -> dict:
 def seed_series(d: int, a: float) -> QPSeries:
     """The pinned seed profile with all-ones blocks."""
     j = (1,) * (2 * d)
-    from qpwave.lattice import orbit
-
     return QPSeries(d, {o: a / 2**d for o in orbit(j)})
 
 
@@ -69,8 +115,6 @@ def random_symmetric_series(d: int, rng, n_orbits: int = 4, box_n: int = 4,
     while len(canon) < n_orbits and tries < 200:
         tries += 1
         j = tuple(int(rng.integers(-box_n, box_n + 1)) for _ in range(2 * d))
-        from qpwave.lattice import canonical
-
         canon[canonical(j)] = float(rng.normal()) * scale
     return QPSeries.from_canonical(d, canon)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import GOOD_JT, GOOD_LAM
-from qpwave import diagnostics
+from qpwave import diagnostics, linop
 from qpwave.diagnostics import (
     bifurcation_scan,
     diophantine_margin,
@@ -14,7 +14,7 @@ from qpwave.diagnostics import (
     theta_bad_fraction,
 )
 from qpwave.lattice import Region, orbit, symbol
-from qpwave.linop import assemble
+from qpwave.linop import SingularOperator, assemble
 from qpwave.series import QPSeries
 from qpwave.solver import ProblemConfig, solve
 
@@ -253,6 +253,26 @@ def test_lambda_sweep_small_sample_fraction():
         if s.accepted:
             assert s.residual is not None and s.residual <= 1e-12
             assert s.beta is not None and s.beta > 0
+
+
+def _planted_greens_failure(monkeypatch, exc):
+    def fail(T):
+        raise exc
+
+    monkeypatch.setattr(linop, "greens_profile", fail)
+    return lambda_sweep(good_cfg(), n_samples=1, seed=0, lambdas=[GOOD_LAM], greens_N=4)
+
+
+def test_lambda_sweep_singular_greens_profile_records_no_beta(monkeypatch):
+    report = _planted_greens_failure(monkeypatch, SingularOperator("planted"))
+    s = report.samples[0]
+    assert s.accepted and s.reason == "accepted"
+    assert s.beta is None
+
+
+def test_lambda_sweep_propagates_unexpected_greens_error(monkeypatch):
+    with pytest.raises(RuntimeError, match="planted"):
+        _planted_greens_failure(monkeypatch, RuntimeError("planted"))
 
 
 # --------------------------------------------------------------------------

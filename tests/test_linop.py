@@ -10,10 +10,11 @@ from helpers import (
     brute_conv_power,
     random_symmetric_series,
     seed_series,
+    site_tuples,
     theta_symbol,
 )
 from qpwave import lattice, linop
-from qpwave.lattice import Region, canonical, enumerate_region, is_canonical, orbit, symbol
+from qpwave.lattice import Region, canonical, is_canonical, orbit, symbol
 from qpwave.linop import (
     ReducedOperator,
     SingularOperator,
@@ -233,7 +234,7 @@ def test_assemble_kernel_is_exact_convolution_power(p):
     T = assemble(u, 0.0, GOOD_LAM, None, Region.full_box(2), p)
     oracle = brute_conv_power(u.coeffs, 2 * p)
     scale = max(abs(v) for v in oracle.values())
-    for j in enumerate_region(Region.full_box(4), 1):
+    for j in site_tuples(Region.full_box(4), 1):
         expected = (2 * p + 1) * oracle.get(j, 0.0)
         assert T.kernel.get(j) == pytest.approx(expected, rel=1e-14, abs=1e-14 * scale)
 
@@ -331,7 +332,7 @@ def test_reduced_matrix_matches_definition(d, N, lam, jt, p):
     region = Region.box_minus(N, orbit(jt))
     red = ReducedOperator(kernel_series(u, p), -0.7, lam, region)
     assert red.kernel.support_radius() > N
-    sites = [j for j in enumerate_region(region, d) if is_canonical(j)]
+    sites = [j for j in site_tuples(region, d) if is_canonical(j)]
     assert [tuple(map(int, s)) for s in red.sites] == sites
     M_def = assembly_oracle(sites, [symbol(j, lam) + 0.7 for j in sites], red.kernel,
                             region.contains, rep=canonical,
@@ -346,7 +347,7 @@ def test_linearized_matrix_matches_definition_generalized_box():
     theta = (0.37,)
     T = assemble(u, 0.9, GOOD_LAM, theta, region, p=2)
     assert T.kernel.support_radius() > region.N
-    sites = enumerate_region(region, 1)
+    sites = site_tuples(region, 1)
     assert [tuple(map(int, s)) for s in T.sites] == sites
     M_def = assembly_oracle(sites, [theta_symbol(j, GOOD_LAM, theta) - 0.9 for j in sites],
                             T.kernel, region.contains)
@@ -358,7 +359,7 @@ def test_linearized_matrix_matches_definition_translated_list(d, lam, j0):
     # an explicit site list off the origin: its bounding box is not symmetric
     rng = np.random.default_rng(13)
     u = random_symmetric_series(d, rng, n_orbits=3 if d == 1 else 2, box_n=2, scale=0.1)
-    sites = [tuple(a + b for a, b in zip(j, j0)) for j in enumerate_region(Region.full_box(2), d)]
+    sites = [tuple(a + b for a, b in zip(j, j0)) for j in site_tuples(Region.full_box(2), d)]
     theta = (0.1,) * d
     T = assemble(u, 1.1, lam, theta, sites, p=1)
     assert [tuple(map(int, s)) for s in T.sites] == sites

@@ -1,14 +1,24 @@
 """Property tests: the table-driven assembly and series solve against their
-entry-by-entry definitions, over random profiles, boxes and shifts."""
+entry-by-entry definitions, and the array convolution and orbit expansion
+against the sequential loops they replaced, over random profiles, boxes
+and shifts."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import GOOD_LAM, GOOD_LAM_D2, assembly_oracle
-from qpwave.lattice import Region, canonical, enumerate_region, is_canonical, orbit, symbol
+from helpers import (
+    GOOD_LAM,
+    GOOD_LAM_D2,
+    assembly_oracle,
+    orbit_loop_from_canonical,
+    site_tuples,
+    sorted_loop_convolve,
+)
+from qpwave.lattice import Region, canonical, is_canonical, orbit, symbol
 from qpwave.linop import ReducedOperator, assemble, kernel_series
-from qpwave.series import QPSeries
+from qpwave.series import QPSeries, convolve
 
 
 def _site(d, reach):
@@ -34,7 +44,7 @@ def _instances(draw):
     # region's, the pinned orbit among them
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rhs = QPSeries.from_canonical(d, {
-        j: float(rng.normal()) for j in enumerate_region(Region.full_box(N + 1), d)
+        j: float(rng.normal()) for j in site_tuples(Region.full_box(N + 1), d)
         if is_canonical(j) and (rng.random() < 0.5 or j == canonical(jtilde))})
     return d, N, p, u, jtilde, j0, rhs
 
@@ -48,7 +58,7 @@ def test_table_assembly_and_series_solve_match_definition(inst):
 
     region = Region.box_minus(N, orbit(jtilde))
     red = ReducedOperator(kernel_series(u, p), E, lam, region)
-    sites = [j for j in enumerate_region(region, d) if is_canonical(j)]
+    sites = [j for j in site_tuples(region, d) if is_canonical(j)]
     M_def = assembly_oracle(sites, [symbol(j, lam) - E for j in sites], red.kernel,
                             region.contains, rep=canonical,
                             weights=[len(orbit(j)) for j in sites])
@@ -62,9 +72,71 @@ def test_table_assembly_and_series_solve_match_definition(inst):
     assert red.solve_series(rhs).coeffs == expected.coeffs
 
     # the same definition on the region's site list translated by j0
-    shifted = [tuple(a + b for a, b in zip(j, j0)) for j in enumerate_region(region, d)]
+    shifted = [tuple(a + b for a, b in zip(j, j0)) for j in site_tuples(region, d)]
     T = assemble(u, E, lam, None, shifted, p)
     members = set(shifted)
     T_def = assembly_oracle(shifted, [symbol(j, lam) - E for j in shifted], T.kernel,
                             members.__contains__)
     assert np.max(np.abs(T.to_dense() - T_def)) <= 1e-15 * np.max(np.abs(T_def))
+
+
+@st.composite
+def _canon(draw, d, max_orbits):
+    """Values on drawn canonical sites: small integers, so that sums cancel
+    exactly, or full-precision normals, so that summation order shows in
+    the last bits."""
+    sites = draw(st.lists(_site(d, 3).map(canonical), max_size=max_orbits, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.integers(-2, 3, len(sites)).astype(float)
+    else:
+        values = rng.normal(size=len(sites))
+    return dict(zip(sites, values.tolist()))
+
+
+@st.composite
+def _factor_pairs(draw):
+    """(A, B) with A drawn at least as large as B; either may be empty."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    small = {1: 6, 2: 4, 3: 2}[d]
+    A = QPSeries.from_canonical(d, draw(_canon(d, 2 * small)))
+    B = QPSeries.from_canonical(d, draw(_canon(d, small)))
+    return A, B
+
+
+def _cancelling_pair():
+    # (A * B)(1, 0) = A(0) B(1, 0) + A(1, 0) B(0) = -1 + 1: an exact zero
+    A = QPSeries.from_canonical(1, {(0, 0): 1.0, (1, 0): 1.0})
+    B = QPSeries.from_canonical(1, {(0, 0): 1.0, (1, 0): -1.0})
+    return A, B
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_factor_pairs())
+@example(_cancelling_pair())
+def test_convolve_matches_sorted_loop_bit_for_bit(pair):
+    A, B = pair
+    assert convolve(A, B).coeffs == sorted_loop_convolve(A, B)
+    assert convolve(B, A).coeffs == sorted_loop_convolve(B, A)
+
+
+def test_convolve_drops_exact_cancellations():
+    A, B = _cancelling_pair()
+    C = convolve(A, B)
+    assert (1, 0) not in C.coeffs and (-1, 0) not in C.coeffs
+    assert C.coeffs == {(0, 0): -1.0, (2, 0): -1.0, (-2, 0): -1.0}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2, 3]).flatmap(lambda d: st.tuples(st.just(d), _canon(d, 8))))
+def test_from_canonical_matches_orbit_loop(inst):
+    d, canon = inst
+    assert QPSeries.from_canonical(d, canon).coeffs == orbit_loop_from_canonical(canon)
+
+
+def test_from_canonical_rejects_non_canonical_site():
+    canon = {(0, 0, 1, 0): 1.0, (1, 0, -1, 0): 2.0}
+    with pytest.raises(ValueError, match="not a canonical"):
+        orbit_loop_from_canonical(canon)
+    with pytest.raises(ValueError, match="not a canonical"):
+        QPSeries.from_canonical(2, canon)
