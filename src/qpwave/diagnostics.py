@@ -100,6 +100,8 @@ def theta_bad_fraction(u: QPSeries, E: float, lam: Frequency, N: int, axis: int,
         raise ValueError(f"axis must be in 1..{d}")
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
+    if not norm_threshold > 0:
+        raise ValueError(f"norm_threshold must be positive, got {norm_threshold!r}")
     base_theta = list(theta_fixed) if theta_fixed is not None else [0.0] * d
     if jtilde is None:
         region = Region.full_box(N)
@@ -109,15 +111,13 @@ def theta_bad_fraction(u: QPSeries, E: float, lam: Frequency, N: int, axis: int,
     # theta moves only the diagonal: keep the assembled pattern and swap it
     M = T0.matrix().copy()
     kernel_diag = M.diagonal() - T0.diag
-    inners = lattice.block_inners_array(T0.sites, lam)
 
     thetas = np.arange(-2.0, 2.0 + grid_step / 2, grid_step)
     inv_norms = np.empty(len(thetas))
     for i, t in enumerate(thetas):
         th = np.array(base_theta)
         th[axis - 1] = t
-        shifted = inners + th
-        M.setdiag(kernel_diag + (np.sum(shifted * shifted, axis=1) - E))
+        M.setdiag(kernel_diag + (lattice.symbol_array(T0.sites, lam, th) - E))
         inv_norms[i] = linop.inverse_norm(M)
     bad = ~np.isfinite(inv_norms) | (inv_norms > norm_threshold)
     return ThetaSweepResult(

@@ -267,18 +267,11 @@ def orbit_sizes_array(pts: np.ndarray) -> np.ndarray:
     return 2 ** n_nonzero
 
 
-def block_inners_array(pts: np.ndarray, lam: Frequency) -> np.ndarray:
-    """(n, d) array of per-block inner products j_k . lambda_k."""
-    d = pts.shape[1] // 2
-    out = np.empty((len(pts), d))
-    for k in range(d):
-        out[:, k] = pts[:, 2 * k] * lam[2 * k] + pts[:, 2 * k + 1] * lam[2 * k + 1]
-    return out
-
-
 def symbol_array(pts: np.ndarray, lam: Frequency, theta=None) -> np.ndarray:
     """Vectorized symbol, optionally with per-block shifts theta (length d)."""
-    inners = block_inners_array(pts, lam)
+    inners = np.empty((len(pts), pts.shape[1] // 2))
+    for k in range(inners.shape[1]):
+        inners[:, k] = pts[:, 2 * k] * lam[2 * k] + pts[:, 2 * k + 1] * lam[2 * k + 1]
     if theta is not None:
         inners = inners + np.asarray(theta)
     return np.sum(inners * inners, axis=1)

@@ -31,10 +31,11 @@ ReducedOperator's box is the region's [-N, N]^(2d), and a site's row is that
 of its canonical representative (-1 outside the region); the
 LinearizedOperator's box is the bounding box of its site list, and a site's
 row is its own.  The table is built once, from the one enumeration of the
-region; then each kernel offset costs a per-coordinate range test (is the
-source site - offset in the box?), one integer shift of the site codes and
-one gather from the table.  ReducedOperator.solve_series reads its
-right-hand side through the same table.
+region; then each kernel offset (each orbit member of the kernel, in
+lexicographic order) costs a per-coordinate range test (is the source site
+- offset in the box?), one integer shift of the site codes and one gather
+from the table.  ReducedOperator.solve_series reads its right-hand side's
+canonical sites through the same table.
 
 Every linear solve is one SuperLU factorization of the diagonally scaled
 matrix plus at most four steps of iterative refinement; the residual
@@ -55,7 +56,7 @@ import scipy.sparse.linalg as spla
 
 from . import lattice
 from .lattice import Frequency, Index, Region
-from .series import DecayFit, InsufficientData, QPSeries, conv_power, fit_shell_decay, from_canonical_arrays
+from .series import DecayFit, InsufficientData, QPSeries, conv_power, fit_shell_decay
 
 # A solve whose floating-point residual floor exceeds this has no
 # significant digits left; treat it as resonance.
@@ -116,8 +117,9 @@ def _sparse_matrix(diag: np.ndarray, kernel: QPSeries, sites: np.ndarray,
     coords, codes = np.ascontiguousarray(sites.T), table.codes(sites)
     diagonal = np.arange(n, dtype=np.int32)
     rows, cols, vals = [diagonal], [diagonal], [np.asarray(diag, dtype=float)]
-    for off, val in kernel.items_sorted():
-        r, c = table.locate(coords, codes, np.asarray(off, dtype=np.int64))
+    offsets, kvals = kernel.orbit_members()
+    for off, val in zip(offsets, kvals.tolist()):
+        r, c = table.locate(coords, codes, off)
         rows.append(r)
         cols.append(c)
         vals.append(np.full(len(r), -val))
@@ -471,17 +473,15 @@ class ReducedOperator:
         return _solve_scaled(self.matrix(), rhs_canonical * sq, tol) / sq
 
     def solve_series(self, rhs: QPSeries, tol: float = 1e-13) -> QPSeries:
-        """Solve with a symmetric series right-hand side, returning a series.
+        """Solve with a series right-hand side, returning a series.
 
-        Each rhs entry inside the region lands on the row of its orbit (all
-        members carry the same value); entries outside it are dropped.
+        rhs sites outside the region are dropped; the nonzero solution rows
+        are canonical and sorted, so they are a series as they stand.
         """
-        keys = np.array(list(rhs.coeffs), dtype=np.int64).reshape(-1, 2 * self.d)
-        vals = np.fromiter(rhs.coeffs.values(), dtype=float, count=len(keys))
         here = np.zeros(2 * self.d, dtype=np.int64)
-        i, rows = self._table.locate(np.ascontiguousarray(keys.T), self._table.codes(keys), here)
+        i, rows = self._table.locate(np.ascontiguousarray(rhs.sites.T), self._table.codes(rhs.sites), here)
         rhs_vec = np.zeros(self.n)
-        rhs_vec[rows] = vals[i]
+        rhs_vec[rows] = rhs.vals[i]
         w = self.solve(rhs_vec, tol=tol)
         nz = np.nonzero(w)[0]
-        return from_canonical_arrays(self.d, self.sites[nz], w[nz])
+        return QPSeries(self.d, self.sites[nz], w[nz])

@@ -2,30 +2,36 @@
 
 A QPSeries stores the exponential-basis coefficients of an even cosine
 profile: a finite real map j -> value that is constant on every per-block
-sign-flip orbit.  Products of profiles become discrete convolutions of
-their coefficient maps, which is where all the nonlinear arithmetic of the
-solver happens.  The cosine coefficient of the profile at a canonical site
-j is 2**m(j) times the stored value, m(j) = number of nonzero blocks; that
-factor appears only in physical-space evaluation.
+sign-flip orbit.  It holds only the orbits' canonical representatives, as
+an (n, 2d) int64 array of distinct sites in lexicographic order plus their
+values, so the symmetry invariant holds by construction.  Products of
+profiles become discrete convolutions of their coefficient maps, which is
+where all the nonlinear arithmetic of the solver happens.  The cosine
+coefficient of the profile at a canonical site j is 2**m(j) times the
+stored value, m(j) = number of nonzero blocks; that factor appears only in
+physical-space evaluation.
 
-Convolutions are computed by direct sparse accumulation on integer site
-arrays: every pair of factor sites whose sum is canonical contributes its
-product, and each canonical value is a bincount in sorted pair order
-((sorted A) x (sorted B)), so the result does not depend on dict order.
-That value is then broadcast across its orbit so the symmetry invariant
-holds to the last bit.
-Every convolution value is the exact full sum over all pairs of factor
-sites, on the product's whole support; the only truncation is truncate().
+One routine, QPSeries.orbit_members, expands a series to every orbit
+member in lexicographic order; it alone feeds convolve, the kernel-offset
+loop of operator assembly and the read-only coeffs view.  Convolutions are
+computed by direct sparse accumulation on integer site arrays: every pair
+of member sites, (sorted A) x (sorted B), whose sum is canonical
+contributes its product, and each canonical value is a bincount in that
+pair order, so it is the same floating-point sum as a sequential loop.
+add shares that accumulator.  Every convolution value is the exact full
+sum over all pairs of factor sites, on the product's whole support; the
+only truncation is truncate().
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .lattice import Index, Region, canonical, is_canonical, is_canonical_array, linf, orbit, orbits_array
+from .lattice import Index, Region, canonical, is_canonical_array, orbit_sizes_array, orbits_array
 
 
 class InsufficientData(Exception):
@@ -33,141 +39,142 @@ class InsufficientData(Exception):
 
 
 class QPSeries:
-    """Finite symmetric coefficient map on Z^(2d).
+    """Finite symmetric coefficient map on Z^(2d), held on canonical sites.
 
-    Immutable by convention: no method mutates ``coeffs`` after
-    construction, so instances can be shared freely.
+    sites is an (n, 2d) int64 array of distinct canonical representatives
+    in lexicographic order, vals the (n,) values; the map carries vals[i]
+    on the whole orbit of sites[i].  The constructor does not check its
+    arrays: build series with zero, delta or from_canonical.  Immutable by
+    convention: no method mutates sites or vals after construction, so
+    instances can be shared freely.
     """
 
-    __slots__ = ("d", "coeffs")
+    __slots__ = ("d", "sites", "vals")
 
-    def __init__(self, d: int, coeffs: dict[Index, float] | None = None, validate: bool = True):
+    def __init__(self, d: int, sites: np.ndarray, vals: np.ndarray):
         self.d = d
-        self.coeffs = dict(coeffs) if coeffs else {}
-        if validate:
-            self._check()
-
-    def _check(self):
-        for j, v in self.coeffs.items():
-            if len(j) != 2 * self.d:
-                raise ValueError(f"site {j} has {len(j)} coordinates, expected {2 * self.d}")
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite coefficient at {j}")
-            c = canonical(j)
-            if c != j and self.coeffs.get(c) != v:
-                raise ValueError(f"symmetry violated between {j} and its representative {c}")
+        self.sites = sites
+        self.vals = vals
 
     @staticmethod
     def zero(d: int) -> "QPSeries":
-        return QPSeries(d, {}, validate=False)
+        return QPSeries(d, np.zeros((0, 2 * d), dtype=np.int64), np.zeros(0))
 
     @staticmethod
     def delta(d: int, value: float = 1.0, j: Index | None = None) -> "QPSeries":
         """Series supported on the orbit of j (origin by default)."""
         if j is None:
             j = (0,) * (2 * d)
-        return QPSeries(d, {o: float(value) for o in orbit(j)}, validate=False)
+        site = np.array(canonical(j), dtype=np.int64).reshape(1, 2 * d)
+        return QPSeries(d, site, np.array([float(value)]))
 
     @staticmethod
     def from_canonical(d: int, canon: dict[Index, float]) -> "QPSeries":
-        """Expand a map given on canonical representatives to full orbits."""
-        sites, vals = _arrays(d, canon)
+        """Series with value canon[j] on the orbit of each canonical site j;
+        rejects other sites and non-finite values."""
+        sites = np.array(list(canon), dtype=np.int64).reshape(-1, 2 * d)
+        if sites.shape[0] != len(canon):
+            raise ValueError(f"sites must have {2 * d} coordinates")
+        vals = np.fromiter(canon.values(), dtype=float, count=len(canon))
         bad = ~is_canonical_array(sites)
         if np.any(bad):
             raise ValueError(f"{tuple(sites[np.argmax(bad)].tolist())} is not a canonical representative")
-        return from_canonical_arrays(d, sites, vals)
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            raise ValueError(f"non-finite coefficient at {tuple(sites[np.argmax(bad)].tolist())}")
+        order, _ = _lex_distinct(sites)
+        return QPSeries(d, sites[order], vals[order])
+
+    def orbit_members(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every orbit member of every site with its value, members in
+        lexicographic order."""
+        members = orbits_array(self.sites)  # sign pattern major; zero blocks repeat members
+        order, first = _lex_distinct(members)
+        keep = order[first]
+        return members[keep], self.vals[keep % len(self.vals)]
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only {site: value} map over every orbit member."""
+        members, vals = self.orbit_members()
+        return MappingProxyType(dict(zip(map(tuple, members.tolist()), vals.tolist())))
 
     def get(self, j: Index) -> float:
-        return self.coeffs.get(j, 0.0)
-
-    def items_sorted(self):
-        return sorted(self.coeffs.items())
-
-    def canonical_items(self):
-        return sorted((j, v) for j, v in self.coeffs.items() if is_canonical(j))
+        hit = (self.sites == canonical(j)).all(axis=1).nonzero()[0]
+        return float(self.vals[hit[0]]) if len(hit) else 0.0
 
     def support_size(self) -> int:
-        return len(self.coeffs)
+        """Number of orbit members, not of canonical sites."""
+        return int(orbit_sizes_array(self.sites).sum())
 
     def support_radius(self) -> int:
-        return max((linf(j) for j in self.coeffs), default=0)
+        return int(np.abs(self.sites).max(initial=0))
 
     def l2_norm(self) -> float:
-        return math.sqrt(math.fsum(v * v for _, v in self.items_sorted()))
+        # fsum is correctly rounded and 2^m * x is exact, so this equals the
+        # fsum over every orbit member
+        sq = orbit_sizes_array(self.sites) * (self.vals * self.vals)
+        return math.sqrt(math.fsum(sq.tolist()))
 
     def linf_norm(self) -> float:
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
+        return float(np.abs(self.vals).max(initial=0.0))
 
     def add(self, other: "QPSeries") -> "QPSeries":
+        """Sum, added self then other at each site; exact zeros dropped."""
         if other.d != self.d:
             raise ValueError("dimension mismatch")
-        out = dict(self.coeffs)
-        for j, v in other.items_sorted():
-            out[j] = out.get(j, 0.0) + v
-        return QPSeries(self.d, out, validate=False)
+        return _accumulate(self.d, np.concatenate([self.sites, other.sites]),
+                           np.concatenate([self.vals, other.vals]))
 
-    def scale(self, c: float) -> "QPSeries":
-        return QPSeries(self.d, {j: c * v for j, v in self.coeffs.items()}, validate=False)
+    def scale(self, c) -> "QPSeries":
+        """c times the series; c is a number or one factor per site."""
+        return QPSeries(self.d, self.sites, c * self.vals)
 
     def __repr__(self):
         return f"QPSeries(d={self.d}, support={self.support_size()}, l2={self.l2_norm():.3e})"
 
 
-def _arrays(d: int, coeffs: dict[Index, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Sites of a coefficient map as an (n, 2d) int64 array, values as floats,
-    both in the map's own order."""
-    sites = np.array(list(coeffs), dtype=np.int64).reshape(-1, 2 * d)
-    if sites.shape[0] != len(coeffs):
-        raise ValueError(f"sites must have {2 * d} coordinates")
-    return sites, np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
+def _lex_distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lexicographic order of an (n, k) int array's rows, and a mask over
+    that order marking the first row of each distinct value."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.empty(len(rows), dtype=bool)
+    first[:1] = True
+    (rows[1:] != rows[:-1]).any(axis=1, out=first[1:])
+    return order, first
 
 
-def _sorted_arrays(A: QPSeries) -> tuple[np.ndarray, np.ndarray]:
-    """A's sites and values in items_sorted() (lexicographic) order."""
-    sites, vals = _arrays(A.d, A.coeffs)
-    order = np.lexsort(sites.T[::-1])
-    return sites[order], vals[order]
-
-
-def from_canonical_arrays(d: int, sites: np.ndarray, vals: np.ndarray) -> QPSeries:
-    """QPSeries carrying vals[i] on the whole orbit of sites[i].
-
-    sites is an (n, 2d) int array of distinct canonical representatives;
-    they are not checked (from_canonical checks its input).
-    """
-    members = orbits_array(sites).tolist()  # sign pattern major
-    return QPSeries(d, dict(zip(map(tuple, members), vals.tolist() * 2 ** d)), validate=False)
+def _accumulate(d: int, sites: np.ndarray, vals: np.ndarray) -> QPSeries:
+    """Series whose value at each distinct row of sites (all canonical) is
+    the sum of that row's vals in input order; exact zeros are dropped."""
+    if len(sites) == 0:
+        return QPSeries.zero(d)
+    order, first = _lex_distinct(sites)
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    # bincount adds each bin's weights in input order, starting from 0.0
+    acc = np.bincount(group, weights=vals)
+    nz = acc != 0.0
+    return QPSeries(d, sites[order[first][nz]], acc[nz])
 
 
 def convolve(A: QPSeries, B: QPSeries) -> QPSeries:
     """Discrete convolution (A*B)(j) = sum_k A(k) B(j-k) on its full support.
 
-    Each canonical value is accumulated over the pairs (sorted A) x (sorted
-    B) whose site sum it is, in that order, with the smaller factor outer;
-    the other orbit members take their representative's value.
+    Each canonical value is accumulated over the member pairs (sorted A) x
+    (sorted B) whose site sum it is, in that order, with the smaller factor
+    outer.
     """
     if A.d != B.d:
         raise ValueError("dimension mismatch between convolution factors")
-    if A.support_size() > B.support_size():
-        A, B = B, A
-    d = A.d
-    ja, va = _sorted_arrays(A)
-    jb, vb = _sorted_arrays(B)
-    sums = (ja[:, None, :] + jb[None, :, :]).reshape(-1, 2 * d)
+    (ja, va), (jb, vb) = A.orbit_members(), B.orbit_members()
+    if len(ja) > len(jb):
+        (ja, va), (jb, vb) = (jb, vb), (ja, va)
+    sums = (ja[:, None, :] + jb[None, :, :]).reshape(-1, 2 * A.d)
     prods = (va[:, None] * vb[None, :]).ravel()
     keep = is_canonical_array(sums)
-    if not keep.any():
-        return QPSeries.zero(d)
-    sums, prods = sums[keep], prods[keep]
-    lo = sums.min(axis=0)
-    shape = tuple((sums.max(axis=0) - lo + 1).tolist())
-    codes = np.ravel_multi_index(tuple((sums - lo).T), shape)
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    # bincount adds each bin's weights in input order, starting from 0.0
-    acc = np.bincount(inverse, weights=prods, minlength=len(uniq))
-    nz = acc != 0.0
-    sites = np.stack(np.unravel_index(uniq[nz], shape), axis=1) + lo
-    return from_canonical_arrays(d, sites, acc[nz])
+    return _accumulate(A.d, sums[keep], prods[keep])
 
 
 def conv_power(A: QPSeries, m: int) -> QPSeries:
@@ -192,7 +199,7 @@ def evaluate(A: QPSeries, lam, x) -> float:
     if len(x) != A.d:
         raise ValueError(f"evaluation point must have {A.d} coordinates")
     total = 0.0
-    for j, v in A.canonical_items():
+    for j, v in zip(A.sites.tolist(), A.vals.tolist()):
         term = v
         for k in range(A.d):
             a, b = j[2 * k], j[2 * k + 1]
@@ -211,11 +218,10 @@ def truncate(A: QPSeries, box: Region, drop_tol: float = 0.0) -> QPSeries:
     """
     if drop_tol < 0:
         raise ValueError("drop_tol must be >= 0")
-    sites, vals = _arrays(A.d, A.coeffs)
-    keep = is_canonical_array(sites) & (vals != 0.0) & ~(np.abs(vals) < drop_tol)
-    sites, vals = sites[keep], vals[keep]
+    keep = (A.vals != 0.0) & ~(np.abs(A.vals) < drop_tol)
+    sites, vals = A.sites[keep], A.vals[keep]
     inside = box.contains_array(orbits_array(sites)).reshape(2 ** A.d, -1).all(axis=0)
-    return from_canonical_arrays(A.d, sites[inside], vals[inside])
+    return QPSeries(A.d, sites[inside], vals[inside])
 
 
 @dataclass(frozen=True)
@@ -264,9 +270,7 @@ def fit_shell_decay(shell_max: dict[int, float], min_distance: int) -> DecayFit:
 def decay_fit(A: QPSeries, min_distance: int = 1) -> DecayFit:
     """Exponential decay fit of |A| against l-infinity distance from the origin."""
     shell_max: dict[int, float] = {}
-    for j, v in A.coeffs.items():
-        s = linf(j)
-        m = abs(v)
+    for s, m in zip(np.abs(A.sites).max(axis=1, initial=0).tolist(), np.abs(A.vals).tolist()):
         if m > shell_max.get(s, 0.0):
             shell_max[s] = m
     return fit_shell_decay(shell_max, min_distance)

@@ -12,20 +12,21 @@ are truncated to growing boxes N_r = min(M^r, N_max) with the iterate's
 support truncated alongside.  Each iterate's convolution chain is formed
 once (powers): u^(*2p) times 2p+1 is the next step's kernel, and
 u^(*(2p+1)) feeds both the eigenvalue update and the residual, so the
-pinned equations cancel to rounding.
+pinned equations cancel to rounding.  Iterates, residuals and increments
+are QPSeries, held on canonical sites, so every array step here works on
+canonical sites only and the symmetry invariant needs no check.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import lattice
 from .lattice import Frequency, Index, Region, linf, nonzero_block_count, orbit, symbol
 from .linop import ReducedOperator
-from .series import QPSeries, conv_power, convolve, from_canonical_arrays, truncate
+from .series import QPSeries, conv_power, convolve, truncate
 
 
 class MixedDegenerateIndex(Exception):
@@ -89,8 +90,8 @@ class ProblemConfig:
     def __post_init__(self):
         if self.d < 1 or self.p < 1:
             raise ValueError("need d >= 1 and p >= 1")
-        if self.a < 0:
-            raise ValueError("a must be >= 0 (a solution for -a is the negation of one for a)")
+        if not 0 <= self.a < math.inf:
+            raise ValueError("a must be finite and >= 0 (a solution for -a is the negation of one for a)")
         object.__setattr__(self, "jtilde", tuple(int(c) for c in self.jtilde))
         _check_jtilde(self.jtilde, self.d)
         object.__setattr__(self, "lam", lattice.validate_frequency(self.lam, self.d))
@@ -102,7 +103,8 @@ class ProblemConfig:
             object.__setattr__(self, "N_max", 30 if self.d == 1 else 8)
         if self.N_max < self.M:
             raise ValueError("N_max must be >= M")
-        if self.max_steps < 1 or self.residual_tol <= 0 or self.drop_tol < 0:
+        if (self.max_steps < 1 or not 0 < self.residual_tol < math.inf
+                or not 0 <= self.drop_tol < math.inf):
             raise ValueError("bad iteration controls")
 
     @property
@@ -185,8 +187,7 @@ def initial_guess(cfg: ProblemConfig) -> tuple[QPSeries, float]:
     _check_jtilde(cfg.jtilde, cfg.d)
     if cfg.a == 0.0:
         return QPSeries.zero(cfg.d), symbol(cfg.jtilde, cfg.lam)
-    u0 = QPSeries(cfg.d, {j: cfg.pin_value for j in cfg.resonant_set()}, validate=False)
-    return u0, symbol(cfg.jtilde, cfg.lam)
+    return QPSeries.delta(cfg.d, cfg.pin_value, cfg.jtilde), symbol(cfg.jtilde, cfg.lam)
 
 
 def powers(u: QPSeries, p: int) -> tuple[QPSeries, QPSeries]:
@@ -213,21 +214,15 @@ def q_update(u: QPSeries, cfg: ProblemConfig, power: QPSeries | None = None) -> 
 
 def residual(u: QPSeries, E: float, lam: Frequency, p: int,
              box: Region | None = None, power: QPSeries | None = None) -> QPSeries:
-    """F(u)(j) = (symbol(j) - E) u(j) - u^(*(2p+1))(j), restricted to box."""
+    """F(u)(j) = (symbol(j) - E) u(j) - u^(*(2p+1))(j), restricted to box;
+    exact zeros are dropped."""
     if power is None:
         power = powers(u, p)[1]
-    sites = list(u.coeffs.keys() | power.coeffs.keys())
-    pts = np.array(sites, dtype=np.int64).reshape(-1, 2 * u.d)
-    canon = lattice.is_canonical_array(pts)
-    pts = pts[canon]
-    sites = [sites[i] for i in np.flatnonzero(canon).tolist()]
-    uv = np.array([u.get(j) for j in sites], dtype=float)
-    pv = np.array([power.get(j) for j in sites], dtype=float)
-    vals = (lattice.symbol_array(pts, lam) - E) * uv - pv
-    keep = vals != 0.0
-    if box is not None:
-        keep &= box.contains_array(pts)
-    return from_canonical_arrays(u.d, pts[keep], vals[keep])
+    F = u.scale(lattice.symbol_array(u.sites, lam) - E).add(power.scale(-1.0))
+    if box is None:
+        return F
+    inside = box.contains_array(F.sites)
+    return QPSeries(F.d, F.sites[inside], F.vals[inside])
 
 
 def newton_step(u: QPSeries, E: float, cfg: ProblemConfig, N: int,
@@ -255,13 +250,9 @@ def newton_step(u: QPSeries, E: float, cfg: ProblemConfig, N: int,
 
 
 def _assert_iterate_invariants(u: QPSeries, cfg: ProblemConfig):
-    pin = cfg.pin_value
-    for s in cfg.resonant_set():
-        if u.get(s) != pin:
-            raise AssertionError(f"pinned amplitude at {s} drifted to {u.get(s)!r}")
-    for j, v in u.coeffs.items():
-        if u.coeffs.get(lattice.canonical(j)) != v:
-            raise AssertionError(f"symmetry violated at {j}")
+    # one value per orbit, so jtilde stands for the whole pinned orbit
+    if u.get(cfg.jtilde) != cfg.pin_value:
+        raise AssertionError(f"pinned amplitude at {cfg.jtilde} drifted to {u.get(cfg.jtilde)!r}")
 
 
 def solve(cfg: ProblemConfig, precheck: bool = True) -> SolutionRecord:

@@ -67,8 +67,8 @@ def sorted_loop_convolve(A: QPSeries, B: QPSeries) -> dict:
     if A.support_size() > B.support_size():
         A, B = B, A
     acc = {}
-    b_items = B.items_sorted()
-    for ja, va in A.items_sorted():
+    b_items = sorted(B.coeffs.items())
+    for ja, va in sorted(A.coeffs.items()):
         for jb, vb in b_items:
             j = tuple(x + y for x, y in zip(ja, jb))
             acc[j] = acc.get(j, 0.0) + va * vb
@@ -104,8 +104,7 @@ def count_convolutions(monkeypatch) -> dict:
 
 def seed_series(d: int, a: float) -> QPSeries:
     """The pinned seed profile with all-ones blocks."""
-    j = (1,) * (2 * d)
-    return QPSeries(d, {o: a / 2**d for o in orbit(j)})
+    return QPSeries.delta(d, a / 2**d, (1,) * (2 * d))
 
 
 def random_symmetric_series(d: int, rng, n_orbits: int = 4, box_n: int = 4,
@@ -123,8 +122,8 @@ def profile_values(series: QPSeries, lam, xs: np.ndarray) -> np.ndarray:
     """Vectorized cosine-sum evaluation over many points (d = 1 only)."""
     assert series.d == 1
     total = np.zeros_like(xs, dtype=float)
-    for j, v in series.canonical_items():
-        if j == (0, 0):
+    for j, v in zip(series.sites.tolist(), series.vals.tolist()):
+        if j == [0, 0]:
             total += v
         else:
             w = j[0] * lam[0] + j[1] * lam[1]
@@ -142,8 +141,9 @@ def assembly_oracle(sites, diag, kernel: QPSeries, contains, rep=None, weights=N
     """
     index = {tuple(map(int, s)): i for i, s in enumerate(sites)}
     M = np.diag(np.asarray(diag, dtype=float))
+    kernel_items = sorted(kernel.coeffs.items())
     for i, s in enumerate(sites):
-        for off, val in kernel.items_sorted():
+        for off, val in kernel_items:
             src = tuple(int(a) - b for a, b in zip(s, off))
             if contains(src):
                 M[i, index[rep(src) if rep else src]] -= val

@@ -42,7 +42,7 @@ def test_criterion_1_convolution_golden():
     with criterion(1, "convolution golden matrix", 1.0):
         b1, b2 = (1, 2), (2, -1)
         jt = (*b1, *b2)
-        v = QPSeries(2, {o: 0.25 for o in orbit(jt)})  # a = 1, value a/2^d
+        v = QPSeries.delta(2, 0.25, jt)  # a = 1, value a/2^d
         sq = convolve(v, v)
         expected = {(0, 0, 0, 0): 0.25}
         for s in (1, -1):

@@ -94,15 +94,50 @@ def test_corrupt_file_detected(tmp_path):
     assert cli.main(["verify", "--in", str(path)]) == 2
 
 
-def test_verify_flags_inconsistent_residual(tmp_path):
+def test_verify_flags_inconsistent_residual(tmp_path, capsys):
     cfg = ProblemConfig(d=1, p=1, a=0.01, jtilde=GOOD_JT, lam=GOOD_LAM)
     rec = solve(cfg)
     path = tmp_path / "sol.json"
     store_solution(rec, str(path))
     doc = json.loads(path.read_text())
+    pinned = json.loads(json.dumps(doc))
     doc["coeffs"][1]["v"] *= 1.001  # perturb one non-pinned coefficient
     path.write_text(json.dumps(doc))
     assert cli.main(["verify", "--in", str(path)]) == 2
+    # and the pinned one, which q_update reports
+    (entry,) = [e for e in pinned["coeffs"] if e["j"] == list(GOOD_JT)]
+    entry["v"] *= 1.001
+    path.write_text(json.dumps(pinned))
+    capsys.readouterr()
+    assert cli.main(["verify", "--in", str(path)]) == 2
+    assert "amplitude at jtilde" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_stored_coefficient_is_corrupt(tmp_path, capsys, bad):
+    run = tmp_path / "run"
+    assert cli.main(solve_args(run)) == 0
+    path = run / "solution.json"
+    doc = json.loads(path.read_text())
+    doc["coeffs"][1]["v"] = float(bad)  # json writes the bare NaN / Infinity token
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptFile, match="non-finite coefficient"):
+        load_solution(str(path))
+    for command, extra in (("evolve", ["--T", "0.002"]), ("greens", ["--N", "4"])):
+        capsys.readouterr()
+        assert cli.main([command, "--in", str(path), *extra, "--out", str(tmp_path / command)]) == 1
+        assert "non-finite coefficient" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+    assert cli.main(["verify", "--in", str(path)]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--a", "--residual-tol", "--drop-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_solve_rejects_non_finite_controls(tmp_path, capsys, flag, value):
+    assert cli.main(solve_args(tmp_path, [flag, value])) == 1
+    message = "a must be finite" if flag == "--a" else "bad iteration controls"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "solution.json").exists()
 
 
 def test_usage_errors_exit_one(tmp_path):
@@ -272,3 +307,15 @@ def test_evolve_rejects_bad_arguments(tmp_path, capsys):
         assert cli.main(base + extra) == 1
         assert message in capsys.readouterr().err
     assert not (tmp_path / "evolve" / "evolve.json").exists()
+
+
+def test_theta_sweep_rejects_bad_norm_threshold(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert cli.main(solve_args(run)) == 0
+    for value in ("nan", "0", "-1"):
+        capsys.readouterr()
+        code = cli.main(["theta-sweep", "--in", str(run / "solution.json"), "--N", "2",
+                         "--norm-threshold", value, "--out", str(tmp_path / "theta")])
+        assert code == 1
+        assert "norm_threshold must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "theta").exists()

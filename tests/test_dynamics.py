@@ -173,7 +173,7 @@ def test_out_of_box_mass_reported():
     box = Region.full_box(2)
     res = evolve(ComplexSeries(1, coeffs), GOOD_LAM, 1, 0.1, 1e-2, box)
     # t = 0 reports the initial state's own fraction, against the sparse oracle
-    full = conv_power(QPSeries(1, coeffs), 3)
+    full = conv_power(QPSeries.delta(1, 0.4, (2, 2)), 3)
     inside = truncate(full, box).l2_norm()
     expected = math.sqrt(full.l2_norm() ** 2 - inside ** 2) / full.l2_norm()
     assert res.out_of_box[0] == pytest.approx(expected, abs=1e-12)

@@ -47,7 +47,7 @@ def test_assemble_zero_profile_is_diagonal():
 def test_assemble_seed_kernel_matrix_d2():
     # kernel is (2p+1) * u0^(*2); its entries land with a minus sign
     jt = (1, 0, 0, 1)
-    u = QPSeries(2, {o: 0.25 for o in orbit(jt)})  # a = 1
+    u = QPSeries.delta(2, 0.25, jt)  # a = 1
     E = symbol(jt, D2_LAM)
     T = assemble(u, E, D2_LAM, None, Region.full_box(3), p=1)
     idx = T.site_index()
@@ -63,7 +63,7 @@ def test_assemble_seed_kernel_matrix_d2():
 def test_diag_vanishes_on_resonant_orbit_at_linear_eigenvalue():
     jt = (1, 0, 0, 1)
     u = seed_series(2, 0.01)
-    u = QPSeries(2, {o: 0.01 / 4 for o in orbit(jt)})
+    u = QPSeries.delta(2, 0.01 / 4, jt)
     E = symbol(jt, D2_LAM)
     T = assemble(u, E, D2_LAM, None, Region.full_box(2), p=1)
     idx = T.site_index()
@@ -114,7 +114,7 @@ def test_solve_linear_singular_at_resonance():
     # resonant orbit and the tiny kernel cannot compensate
     jt = (1, 1)
     a = 1e-8
-    u = QPSeries(1, {o: a / 2 for o in orbit(jt)})
+    u = QPSeries.delta(1, a / 2, jt)
     E = symbol(jt, GOOD_LAM)
     T = assemble(u, E, GOOD_LAM, None, Region.full_box(3), p=1)
     rhs = np.ones(T.n)

@@ -1,7 +1,10 @@
 """Property tests: the table-driven assembly and series solve against their
-entry-by-entry definitions, and the array convolution and orbit expansion
-against the sequential loops they replaced, over random profiles, boxes
+entry-by-entry definitions, the array convolution and orbit expansion
+against the sequential loops they replaced, and the series storage
+invariant after every series-producing layer, over random profiles, boxes
 and shifts."""
+
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from helpers import (
 )
 from qpwave.lattice import Region, canonical, is_canonical, orbit, symbol
 from qpwave.linop import ReducedOperator, assemble, kernel_series
-from qpwave.series import QPSeries, convolve
+from qpwave.series import QPSeries, convolve, truncate
+from qpwave.solver import residual
 
 
 def _site(d, reach):
@@ -140,3 +144,61 @@ def test_from_canonical_rejects_non_canonical_site():
         orbit_loop_from_canonical(canon)
     with pytest.raises(ValueError, match="not a canonical"):
         QPSeries.from_canonical(2, canon)
+
+
+LAMS = {1: GOOD_LAM, 2: GOOD_LAM_D2, 3: (1.05, 0.723, 0.8, 1.31, 1.21, 0.57)}
+
+
+def _assert_storage_invariant(S, d):
+    """Distinct canonical sites in strictly increasing lexicographic order,
+    a coeffs view that is their orbit expansion, and the l2 norm of that
+    view, bit for bit."""
+    assert S.d == d
+    assert S.sites.dtype == np.int64 and S.vals.dtype == np.float64
+    assert S.sites.shape == (len(S.vals), 2 * d)
+    rows = list(map(tuple, S.sites.tolist()))
+    assert all(map(is_canonical, rows))
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    coeffs = S.coeffs
+    assert coeffs == orbit_loop_from_canonical(dict(zip(rows, S.vals.tolist())))
+    assert S.support_size() == len(coeffs)
+    assert S.l2_norm() == math.sqrt(math.fsum(v * v for v in coeffs.values()))
+
+
+@st.composite
+def _layer_inputs(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    A = draw(_canon(d, 6 if d < 3 else 3))
+    B = draw(_canon(d, 6 if d < 3 else 3))
+    c = draw(st.floats(-3.0, 3.0, allow_nan=False))
+    N = draw(st.integers(1, {1: 4, 2: 2, 3: 1}[d]))
+    drop_tol = draw(st.sampled_from([0.0, 1e-3, 0.5]))
+    j = draw(_site(d, 3))
+    return d, A, B, c, N, drop_tol, j
+
+
+def _empty_inputs(d):
+    return d, {}, {}, 2.0, 1, 0.0, (0,) * (2 * d)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_layer_inputs())
+@example(_empty_inputs(1))
+@example(_empty_inputs(2))
+@example(_empty_inputs(3))
+def test_every_layer_keeps_the_storage_invariant(inst):
+    d, canon_a, canon_b, c, N, drop_tol, j = inst
+    lam = LAMS[d]
+    A, B = QPSeries.from_canonical(d, canon_a), QPSeries.from_canonical(d, canon_b)
+    box = Region.full_box(N)
+    u = A.scale(0.01)  # a small kernel keeps the reduced solve regular at E = -1
+    region = Region.box_minus(N, orbit((1,) * (2 * d)))
+    produced = [
+        A, B, QPSeries.zero(d), QPSeries.delta(d, c, j), u,
+        convolve(A, B), convolve(A, A), A.add(B), A.add(A.scale(-1.0)),
+        truncate(A, box, drop_tol),
+        residual(A, c, lam, 1), residual(A, c, lam, 1, box=box),
+        ReducedOperator(kernel_series(u, 1), -1.0, lam, region).solve_series(B),
+    ]
+    for S in produced:
+        _assert_storage_invariant(S, d)

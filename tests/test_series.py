@@ -29,7 +29,7 @@ def test_pair_convolution_matrix_d2():
     # the seed profile at unit amplitude, squared: 1/4 at 0, 1/8 on the four
     # single-block doublings, 1/16 on the four corners
     jt = (1, 2, 2, -1)
-    v = QPSeries(2, {o: 0.25 for o in orbit(jt)})
+    v = QPSeries.delta(2, 0.25, jt)
     sq = convolve(v, v)
     b1, b2 = (1, 2), (2, -1)
     expected = {(0, 0, 0, 0): 0.25}
@@ -178,10 +178,10 @@ def test_truncate_idempotent():
 
 def test_decay_fit_exact_exponential():
     coeffs = {}
-    for j0 in range(-4, 5):
-        for j1 in range(-4, 5):
+    for j0 in range(0, 5):
+        for j1 in range(-4 if j0 else 0, 5):
             coeffs[(j0, j1)] = math.exp(-2.0 * max(abs(j0), abs(j1)))
-    A = QPSeries(1, coeffs)
+    A = QPSeries.from_canonical(1, coeffs)
     fit = decay_fit(A, min_distance=1)
     assert fit.rate == pytest.approx(2.0, abs=1e-10)
     assert fit.residual_rms < 1e-12
@@ -194,10 +194,13 @@ def test_decay_fit_insufficient_data():
 
 
 def test_symmetry_validation_rejects_asymmetric_map():
-    with pytest.raises(ValueError):
-        QPSeries(1, {(1, 1): 1.0, (-1, -1): 2.0})
+    # a map is given on canonical representatives only, so an asymmetric
+    # one cannot be written down
+    with pytest.raises(ValueError, match="not a canonical"):
+        QPSeries.from_canonical(1, {(1, 1): 1.0, (-1, -1): 2.0})
 
 
 def test_non_finite_rejected():
-    with pytest.raises(ValueError):
-        QPSeries(1, {(1, 1): float("nan"), (-1, -1): float("nan")})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"non-finite coefficient at \(1, 1\)"):
+            QPSeries.from_canonical(1, {(0, 0): 1.0, (1, 1): bad})

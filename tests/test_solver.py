@@ -5,7 +5,7 @@ import pytest
 
 from helpers import GOOD_JT, GOOD_JT_D2, GOOD_LAM, GOOD_LAM_D2, brute_conv_power, count_convolutions, seed_series
 from qpwave import solver
-from qpwave.lattice import Region, orbit, symbol
+from qpwave.lattice import Region, is_canonical, orbit, symbol
 from qpwave.series import QPSeries, evaluate
 from qpwave.solver import (
     DivergedIncrement,
@@ -116,7 +116,7 @@ def test_q_update_linear_limit():
 
 def test_q_update_requires_pinned_amplitude():
     cfg = good_cfg()
-    u_bad = QPSeries(1, {j: 0.9 * cfg.pin_value for j in orbit(GOOD_JT)})
+    u_bad = QPSeries.delta(1, 0.9 * cfg.pin_value, GOOD_JT)
     with pytest.raises(ValueError):
         q_update(u_bad, cfg)
 
@@ -309,7 +309,8 @@ def test_physical_space_consistency():
     rec = solve(cfg)
     u, E = rec.u, rec.E
     F = residual(u, E, cfg.lam, cfg.p)
-    sym_u = QPSeries(1, {j: symbol(j, cfg.lam) * v for j, v in u.coeffs.items()})
+    sym_u = QPSeries.from_canonical(1, {tuple(j): symbol(j, cfg.lam) * v
+                                        for j, v in zip(u.sites.tolist(), u.vals.tolist())})
     rng = np.random.default_rng(12)
     for _ in range(100):
         x = [float(rng.uniform(-20, 20))]
@@ -344,7 +345,8 @@ def fixed_point_solution(cfg, damping=0.8, sweeps=400, tol=1e-14):
                 continue
             denom = symbol(j, cfg.lam) - E
             new[j] = (1 - damping) * new.get(j, 0.0) + damping * v / denom
-        candidate = QPSeries(cfg.d, {j: v for j, v in new.items() if v != 0.0}, validate=False)
+        candidate = QPSeries.from_canonical(
+            cfg.d, {j: v for j, v in new.items() if v != 0.0 and is_canonical(j)})
         if candidate.add(u.scale(-1.0)).l2_norm() <= tol:
             return candidate
         u = candidate
