@@ -98,8 +98,8 @@ def theta_bad_fraction(u: QPSeries, E: float, lam: Frequency, N: int, axis: int,
     d = u.d
     if not 1 <= axis <= d:
         raise ValueError(f"axis must be in 1..{d}")
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
+    if not 0 < grid_step < math.inf:
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step!r}")
     if not norm_threshold > 0:
         raise ValueError(f"norm_threshold must be positive, got {norm_threshold!r}")
     base_theta = list(theta_fixed) if theta_fixed is not None else [0.0] * d
@@ -171,7 +171,8 @@ class AcceptanceReport:
         }
 
 
-def _sweep_one(cfg: ProblemConfig, idx: int, lam_flat, sep_N: int, greens_N: int) -> SampleResult:
+def _sweep_one(cfg: ProblemConfig, idx: int, lam_flat, sep_N: int,
+               greens_region: Region) -> SampleResult:
     lam = tuple(float(x) for x in lam_flat)
     dio = diophantine_margin(lam, DIO_J_MAX, DIO_EXPONENT)
     if dio <= DIO_MARGIN_MIN:
@@ -189,15 +190,12 @@ def _sweep_one(cfg: ProblemConfig, idx: int, lam_flat, sep_N: int, greens_N: int
         return SampleResult(idx, lam, dio, sep, False, False, "SingularOperator", None, None)
     beta = None
     try:
-        # profile the operator the Newton scheme inverts: box minus the
-        # pinned orbit (the full box carries the translation null mode)
-        region = Region.box_minus(greens_N, lattice.orbit(cfg_s.jtilde))
-        T = linop.assemble(rec.u, rec.E, lam, None, region, cfg_s.p)
+        T = linop.assemble(rec.u, rec.E, lam, None, greens_region, cfg_s.p)
         prof = linop.greens_profile(T)
         beta = prof.decay.rate if prof.decay else None
     except (linop.SingularOperator, MemoryError):
-        # a resonant profile box, or a dense inverse too large to allocate
-        # (d=2 at the default --greens-n); anything else is a bug
+        # a resonant profile box, or an operator too large to assemble or
+        # factorize (d=2 at the default --greens-n); anything else is a bug
         pass
     return SampleResult(idx, lam, dio, sep, True, True, "accepted",
                         rec.diagnostics.get("final_residual"), beta)
@@ -218,11 +216,15 @@ def lambda_sweep(cfg: ProblemConfig, n_samples: int, seed: int,
         raise ValueError("n_samples must be >= 1")
     if sep_N is None:
         sep_N = cfg.M
+    # profile the operator the Newton scheme inverts: box minus the pinned
+    # orbit (the full box carries the translation null mode); built here so
+    # that a bad greens_N is rejected before any sample is drawn
+    greens_region = Region.box_minus(greens_N, lattice.orbit(cfg.jtilde))
     rng = np.random.default_rng(seed)
     lams = rng.uniform(0.5, 1.5, size=(n_samples, 2 * cfg.d))
     if lambdas is not None:
         lams = np.asarray(lambdas, dtype=float).reshape(n_samples, 2 * cfg.d)
-    samples = [_sweep_one(cfg, i, lams[i], sep_N, greens_N) for i in range(n_samples)]
+    samples = [_sweep_one(cfg, i, lams[i], sep_N, greens_region) for i in range(n_samples)]
     n_acc = sum(1 for s in samples if s.accepted)
     return AcceptanceReport(
         n_samples=n_samples, n_accepted=n_acc,

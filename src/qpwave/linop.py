@@ -43,6 +43,13 @@ contract is enforced on every return, and its violation, like an exactly
 singular factor, is the resonance signal SingularOperator.  As T is
 symmetric, ||T^-1||_2 = 1 / min|eig T|, which inverse_norm reads off as the
 largest-magnitude eigenvalue of the factorized inverse.
+
+greens_profile factorizes T once, for its norm and for the columns of
+T^-1.  The columns are solved in blocks of unit right-hand sides and folded
+block by block into the per-distance maxima, so no n x n array is formed.
+Where T commutes with the per-block sign flips (theta = 0 on an
+orbit-closed region), the canonical source columns alone cover every pair
+up to a mirror image.
 """
 
 from __future__ import annotations
@@ -63,6 +70,10 @@ from .series import DecayFit, InsufficientData, QPSeries, conv_power, fit_shell_
 SINGULAR_FLOOR = 1e-6
 
 _EPS = np.finfo(float).eps
+
+# Unit right-hand sides per solve in greens_profile: its working set is a
+# few n x _GREENS_BLOCK arrays, however large n is.
+_GREENS_BLOCK = 256
 
 
 class SingularOperator(Exception):
@@ -178,6 +189,8 @@ def assemble(u: QPSeries, E: float, lam: Frequency, theta, region, p: int) -> Li
         theta = (0.0,) * d
     if len(theta) != d:
         raise ValueError(f"theta must have {d} components")
+    if not all(map(math.isfinite, theta)):
+        raise ValueError(f"theta must be finite, got {tuple(theta)!r}")
     if isinstance(region, Region):
         sites = lattice.sites_array(region, d)
         reg = region
@@ -300,11 +313,16 @@ def inverse_norm(M: sp.csc_matrix) -> float:
     sign-flip-symmetric operators.  inf when the factor is singular or
     yields non-finite solves.
     """
-    n = M.shape[0]
     try:
         solve = _factorize(M)
     except SingularOperator:
         return math.inf
+    return _factored_inverse_norm(solve, M.shape[0])
+
+
+def _factored_inverse_norm(solve, n: int) -> float:
+    """inverse_norm of the n x n matrix M that an existing factorization
+    solves: solve(b) = M^-1 b."""
     if n == 1:
         return abs(float(solve(np.ones(1))[0]))
 
@@ -348,42 +366,67 @@ class GreensProfile:
 
 
 def greens_profile(T: LinearizedOperator) -> GreensProfile:
-    """Invert T (columns via the factorized solve) and profile the inverse:
-    operator norm and exponential off-diagonal decay fit beyond one tenth
-    of the box scale."""
-    n = T.n
-    M = T.matrix()
-    G = _factorize(M)(np.eye(n))
-    if not np.all(np.isfinite(G)):
-        raise SingularOperator("inverse has non-finite entries (zero pivot)")
+    """Profile G = T^-1: its operator norm, and an exponential fit to its
+    shell maxima max{|G(x, y)| : |x - y| = s} over all site pairs, beyond
+    one tenth of the box scale.
 
-    op_norm = inverse_norm(M)
+    T is factorized once, for the columns and for the norm.  The columns
+    G(., y) are solved for in blocks of _GREENS_BLOCK unit right-hand sides,
+    and each block is folded into the running shell maxima, so neither G
+    nor the pair distances are ever held whole: the working set is a few
+    n x _GREENS_BLOCK arrays.  When T commutes with the per-block sign
+    flips sigma (theta = 0 on an orbit-closed region), G(sigma x, sigma y)
+    = G(x, y) and |sigma x - sigma y| = |x - y|, so every pair has a mirror
+    image with a canonical source y, and only the canonical columns (about
+    n / 2^d) are solved for; the maxima then agree with the all-columns
+    ones up to the rounding of the mirror columns.  With theta != 0, or on
+    an explicit site list, every column is solved for.
+    """
+    solve = _factorize(T.matrix())
+    maxes = _shell_maxima(T, solve)
+    op_norm = _factored_inverse_norm(solve, T.n)
 
     if T.region is not None:
         N = T.region.N
     else:
         N = int(np.max(np.abs(T.sites)))
     threshold = math.ceil(N / 10)
-
-    # shell maxima over l-infinity site separation
-    dist = np.zeros((n, n), dtype=np.int64)
-    for c in range(T.sites.shape[1]):
-        np.maximum(dist, np.abs(T.sites[:, c][:, None] - T.sites[:, c][None, :]), out=dist)
-    shell_max: dict[int, float] = {}
-    absG = np.abs(G)
-    flat_d = dist.ravel()
-    flat_g = absG.ravel()
-    maxes = np.zeros(int(flat_d.max()) + 1)
-    np.maximum.at(maxes, flat_d, flat_g)
-    for sdist, m in enumerate(maxes):
-        shell_max[sdist] = float(m)
-
     try:
-        fit = fit_shell_decay(shell_max, threshold + 1)
+        fit = fit_shell_decay(dict(enumerate(maxes.tolist())), threshold + 1)
     except InsufficientData:
         fit = None
     return GreensProfile(op_norm_inverse=float(op_norm), decay=fit,
                          threshold_distance=threshold, N=N)
+
+
+def _shell_maxima(T: LinearizedOperator, solve) -> np.ndarray:
+    """Shell maxima of G = T^-1 (greens_profile), solve(b) = G b, at index s
+    for every l-infinity separation s the site list spans."""
+    n = T.n
+    sources = np.arange(n)
+    if T.region is not None and T.region.is_orbit_closed() and all(t == 0.0 for t in T.theta):
+        sources = sources[lattice.is_canonical_array(T.sites)]
+    # separations per coordinate, in the narrowest signed dtype that holds
+    # the largest one
+    rel = T.sites - T.sites.min(axis=0)
+    extent = int(rel.max()) + 1
+    coords = rel.T.astype(np.min_scalar_type(-extent))
+    maxes = np.zeros(extent)
+    for start in range(0, len(sources), _GREENS_BLOCK):
+        cols = sources[start:start + _GREENS_BLOCK]
+        # SuperLU solves in Fortran order: such a unit block goes in without
+        # a copy, and the transposed solution ravels without one
+        unit = np.zeros((n, len(cols)), order="F")
+        unit[cols, np.arange(len(cols))] = 1.0
+        G = solve(unit).T
+        if not np.all(np.isfinite(G)):
+            raise SingularOperator("inverse has non-finite entries (zero pivot)")
+        np.abs(G, out=G)
+        dist = np.zeros(G.shape, dtype=coords.dtype)
+        for x in coords:
+            np.maximum(dist, np.abs(x[cols, None] - x), out=dist)
+        np.maximum.at(maxes, dist.ravel(), G.ravel())
+    return maxes
 
 
 def covariance_discrepancy(u: QPSeries, E: float, lam: Frequency, theta, j0: Index,

@@ -4,15 +4,18 @@ The brute-force convolutions here are deliberately independent of the
 package's sparse accumulation path: plain nested loops over dictionary
 items, no boxes, no symmetrization.  The sorted-loop oracles are the
 package's earlier per-pair and per-site loops, kept to pin the array code
-to them bit for bit.
+to them bit for bit; dense_greens_profile is its earlier dense all-pairs
+Green's profile, kept to pin the streamed one.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from qpwave.lattice import canonical, is_canonical, orbit, sites_array
-from qpwave.series import QPSeries
+from qpwave.linop import GreensProfile, SingularOperator, _factorize, inverse_norm
+from qpwave.series import InsufficientData, QPSeries, fit_shell_decay
 
 # Frequencies with healthy Diophantine and separation margins, used as the
 # default "accepted" instances across tests.  GOOD_LAM clears the
@@ -157,3 +160,43 @@ def theta_symbol(j, lam, theta) -> float:
     """sum_k ((j_k . lambda_k) + theta_k)^2, one site at a time."""
     return sum((j[2 * k] * lam[2 * k] + j[2 * k + 1] * lam[2 * k + 1] + theta[k]) ** 2
                for k in range(len(theta)))
+
+
+def dense_greens_profile(T) -> tuple[GreensProfile, dict[int, float]]:
+    """The all-pairs Green's profile from the dense inverse, with its shell
+    maxima: every column solved at once, an n x n distance matrix, one
+    np.maximum.at fold and a second factorization for the norm (the
+    package's earlier greens_profile)."""
+    n = T.n
+    M = T.matrix()
+    G = _factorize(M)(np.eye(n))
+    if not np.all(np.isfinite(G)):
+        raise SingularOperator("inverse has non-finite entries (zero pivot)")
+
+    op_norm = inverse_norm(M)
+
+    if T.region is not None:
+        N = T.region.N
+    else:
+        N = int(np.max(np.abs(T.sites)))
+    threshold = math.ceil(N / 10)
+
+    # shell maxima over l-infinity site separation
+    dist = np.zeros((n, n), dtype=np.int64)
+    for c in range(T.sites.shape[1]):
+        np.maximum(dist, np.abs(T.sites[:, c][:, None] - T.sites[:, c][None, :]), out=dist)
+    shell_max: dict[int, float] = {}
+    absG = np.abs(G)
+    flat_d = dist.ravel()
+    flat_g = absG.ravel()
+    maxes = np.zeros(int(flat_d.max()) + 1)
+    np.maximum.at(maxes, flat_d, flat_g)
+    for sdist, m in enumerate(maxes):
+        shell_max[sdist] = float(m)
+
+    try:
+        fit = fit_shell_decay(shell_max, threshold + 1)
+    except InsufficientData:
+        fit = None
+    return GreensProfile(op_norm_inverse=float(op_norm), decay=fit,
+                         threshold_distance=threshold, N=N), shell_max

@@ -319,3 +319,30 @@ def test_theta_sweep_rejects_bad_norm_threshold(tmp_path, capsys):
         assert code == 1
         assert "norm_threshold must be positive" in capsys.readouterr().err
     assert not (tmp_path / "theta").exists()
+
+
+def test_sweep_lambda_rejects_bad_greens_scale_before_sampling(tmp_path, capsys):
+    # both samples fail the separation check, so no Green's profile is ever
+    # reached: the scale must be checked before the first sample
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep-lambda", "--d", "1", "--p", "1", "--a", "0.01",
+                     "--jtilde", JT_STR, "--lambda", LAM_STR,
+                     "--n-samples", "2", "--seed", "0", "--greens-n", "0",
+                     "--out", str(out)])
+    assert code == 1
+    assert "region scale N must be >= 1" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_theta_and_grid_step_are_usage_errors(tmp_path, capsys, value):
+    run = tmp_path / "run"
+    assert cli.main(solve_args(run)) == 0
+    capsys.readouterr()
+    assert cli.main(["greens", "--in", str(run / "solution.json"), "--N", "4",
+                     "--theta", value, "--out", str(tmp_path / "greens")]) == 1
+    assert "theta must be finite" in capsys.readouterr().err
+    assert cli.main(["theta-sweep", "--in", str(run / "solution.json"), "--N", "2",
+                     "--grid-step", value, "--out", str(tmp_path / "theta")]) == 1
+    assert "grid_step must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "greens").exists() and not (tmp_path / "theta").exists()

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    GOOD_JT_D2,
     GOOD_LAM,
     GOOD_LAM_D2,
     assembly_oracle,
     brute_conv_power,
+    dense_greens_profile,
     random_symmetric_series,
     seed_series,
     site_tuples,
@@ -26,6 +28,7 @@ from qpwave.linop import (
     solve_linear,
 )
 from qpwave.series import QPSeries
+from qpwave.solver import ProblemConfig, solve
 
 
 D2_LAM = (1.05, 0.723, 0.8, 1.31)
@@ -213,6 +216,48 @@ def test_greens_profile_covariance_invariance():
     p2 = greens_profile(T_shift_theta)
     assert p1.op_norm_inverse == pytest.approx(p2.op_norm_inverse, rel=1e-6)
     assert p1.decay.rate == pytest.approx(p2.decay.rate, rel=1e-6)
+
+
+def test_greens_profile_d2_matches_dense_profile():
+    # the operator a d = 2 sweep sample profiles: box minus the pinned orbit
+    # around a converged solution, n = 2397 sites, three blocks of
+    # canonical source columns
+    cfg = ProblemConfig(d=2, p=1, a=0.02, jtilde=GOOD_JT_D2, lam=GOOD_LAM_D2, M=2, N_max=4)
+    rec = solve(cfg, precheck=False)
+    T = assemble(rec.u, rec.E, cfg.lam, None, Region.box_minus(3, orbit(GOOD_JT_D2)), cfg.p)
+    assert T.n == 2397
+    prof = greens_profile(T)
+    dense, dense_shells = dense_greens_profile(T)
+    shells = linop._shell_maxima(T, linop._factorize(T.matrix()))
+    expected = np.array([dense_shells[s] for s in range(len(dense_shells))])
+    assert np.allclose(shells, expected, rtol=1e-13, atol=0.0)
+    assert prof.op_norm_inverse == dense.op_norm_inverse
+    assert math.isfinite(prof.decay.rate) and prof.decay.rate > 0.0
+    assert prof.decay.rate == pytest.approx(dense.decay.rate, rel=1e-12)
+
+
+def test_greens_profile_factorizes_once(monkeypatch):
+    calls = []
+    real = linop._factorize
+    monkeypatch.setattr(linop, "_factorize", lambda M: calls.append(M.shape) or real(M))
+    u = seed_series(1, 0.05)
+    T = assemble(u, symbol((1, 1), GOOD_LAM) - 0.6, GOOD_LAM, None, Region.full_box(4), p=1)
+    assert greens_profile(T).op_norm_inverse == linop.inverse_norm(T.matrix())
+    assert calls == [(T.n, T.n)] * 2  # the profile's one, then inverse_norm's
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_greens_profile_rejects_non_finite_columns(bad):
+    # a factorization can succeed and still solve to non-finite columns
+    T = assemble(QPSeries.zero(1), -0.25, GOOD_LAM, None, Region.full_box(4), p=1)
+
+    def poisoned(b):
+        x = np.array(b)
+        x[T.n // 2, -1] = bad
+        return x
+
+    with pytest.raises(SingularOperator, match="non-finite entries"):
+        linop._shell_maxima(T, poisoned)
 
 
 def _reduced_action(red):
