@@ -47,6 +47,5 @@ from .diagnostics import (
     theta_bad_fraction,
 )
 from .dynamics import ComplexSeries, StepUnstable, evolve, nonlinear_term, standing_wave_deviation
-from .cli import CorruptFile, SchemaVersionMismatch, load_solution, store_solution
 
 __version__ = "0.1.0"

@@ -1,0 +1,8 @@
+"""``python -m qpwave``: the command-line front end (qpwave.cli)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

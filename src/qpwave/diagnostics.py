@@ -108,17 +108,21 @@ def theta_bad_fraction(u: QPSeries, E: float, lam: Frequency, N: int, axis: int,
     else:
         region = Region.box_minus(N, lattice.orbit(tuple(jtilde)))
     T0 = linop.assemble(u, E, lam, tuple(base_theta), region, p)
-    # theta moves only the diagonal: keep the assembled pattern and swap it
-    M = T0.matrix().copy()
+    # theta moves only the diagonal: keep the blocks and reset their diagonals
+    M = T0.matrix()
     kernel_diag = M.diagonal() - T0.diag
+    blocks = linop._diagonal_blocks(M)
 
     thetas = np.arange(-2.0, 2.0 + grid_step / 2, grid_step)
     inv_norms = np.empty(len(thetas))
     for i, t in enumerate(thetas):
         th = np.array(base_theta)
         th[axis - 1] = t
-        M.setdiag(kernel_diag + (lattice.symbol_array(T0.sites, lam, th) - E))
-        inv_norms[i] = linop.inverse_norm(M)
+        diag = kernel_diag + (lattice.symbol_array(T0.sites, lam, th) - E)
+        for rows, A in blocks:
+            at = np.arange(rows.shape[1])
+            A[:, at, at] = diag[rows]
+        inv_norms[i] = linop._block_inverse_norm(blocks)
     bad = ~np.isfinite(inv_norms) | (inv_norms > norm_threshold)
     return ThetaSweepResult(
         axis=axis, grid_step=grid_step, grid_start=float(thetas[0]),
@@ -195,7 +199,8 @@ def _sweep_one(cfg: ProblemConfig, idx: int, lam_flat, sep_N: int,
         beta = prof.decay.rate if prof.decay else None
     except (linop.SingularOperator, MemoryError):
         # a resonant profile box, or an operator too large to assemble or
-        # factorize (d=2 at the default --greens-n); anything else is a bug
+        # to gather into dense blocks (d=2 at the default --greens-n);
+        # anything else is a bug
         pass
     return SampleResult(idx, lam, dio, sep, True, True, "accepted",
                         rec.diagnostics.get("final_residual"), beta)

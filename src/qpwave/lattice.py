@@ -105,40 +105,24 @@ def validate_frequency(lam, d: int | None = None):
 
 FULL_BOX = "full_box"
 BOX_MINUS_S = "box_minus_s"
-GENERALIZED_BOX = "generalized_box"
 
 
 @dataclass(frozen=True)
 class Region:
-    """A finite index region: a cube, a cube minus an explicit set, or a cube
-    minus a sign-constrained orthant strip.
-
-    ``constraints`` is a per-flattened-coordinate relation, each one of
-    '<', '>' or None; a site is removed from the generalized box when it
-    satisfies *all* active constraints (at least two must be active).
-    """
+    """A finite index region: a cube, or a cube minus an explicit set S."""
 
     kind: str
     N: int
     S: tuple[Index, ...] = ()
-    constraints: tuple[str | None, ...] = ()
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("region scale N must be >= 1")
-        if self.kind not in (FULL_BOX, BOX_MINUS_S, GENERALIZED_BOX):
+        if self.kind not in (FULL_BOX, BOX_MINUS_S):
             raise ValueError(f"unknown region kind {self.kind!r}")
-        if self.kind == BOX_MINUS_S:
-            for s in self.S:
-                if linf(s) > self.N:
-                    raise ValueError(f"excluded site {s} lies outside the box of scale {self.N}")
-        if self.kind == GENERALIZED_BOX:
-            active = sum(1 for c in self.constraints if c is not None)
-            if active < 2:
-                raise ValueError("generalized box needs at least two active sign constraints")
-            for c in self.constraints:
-                if c not in ("<", ">", None):
-                    raise ValueError(f"bad sign constraint {c!r}")
+        for s in self.S:
+            if linf(s) > self.N:
+                raise ValueError(f"excluded site {s} lies outside the box of scale {self.N}")
 
     @staticmethod
     def full_box(N: int) -> "Region":
@@ -148,59 +132,27 @@ class Region:
     def box_minus(N: int, S) -> "Region":
         return Region(BOX_MINUS_S, N, S=tuple(sorted(set(map(tuple, S)))))
 
-    @staticmethod
-    def generalized(N: int, constraints) -> "Region":
-        return Region(GENERALIZED_BOX, N, constraints=tuple(constraints))
-
     def contains(self, j: Index) -> bool:
-        if linf(j) > self.N:
-            return False
-        if self.kind == BOX_MINUS_S:
-            return j not in self.S
-        if self.kind == GENERALIZED_BOX:
-            return not self._excised(j)
-        return True
-
-    def _excised(self, j) -> bool:
-        for c, x in zip(self.constraints, j):
-            if c == "<" and not (x < 0):
-                return False
-            if c == ">" and not (x > 0):
-                return False
-        return True
+        return linf(j) <= self.N and j not in self.S
 
     def contains_array(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (n, 2d) int array."""
         mask = np.all(np.abs(pts) <= self.N, axis=1)
-        if self.kind == BOX_MINUS_S and self.S:
-            bound = max(self.N, max(linf(s) for s in self.S))
-            codes = encode(pts, bound)
-            s_codes = encode(np.asarray(self.S, dtype=np.int64), bound)
+        if self.S:
+            codes = encode(pts, self.N)
+            s_codes = encode(np.asarray(self.S, dtype=np.int64), self.N)
             mask &= ~np.isin(codes, s_codes)
-        elif self.kind == GENERALIZED_BOX:
-            excised = np.ones(len(pts), dtype=bool)
-            for i, c in enumerate(self.constraints):
-                if c == "<":
-                    excised &= pts[:, i] < 0
-                elif c == ">":
-                    excised &= pts[:, i] > 0
-            mask &= ~excised
         return mask
 
     def is_orbit_closed(self) -> bool:
         """Whether membership is invariant under per-block sign flips."""
-        if self.kind == FULL_BOX:
-            return True
-        if self.kind == BOX_MINUS_S:
-            return all(o in self.S for s in self.S for o in orbit(s))
-        return False
+        return all(o in self.S for s in self.S for o in orbit(s))
 
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
             "N": self.N,
             "S": [list(s) for s in self.S],
-            "constraints": list(self.constraints),
         }
 
 

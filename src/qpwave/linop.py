@@ -40,16 +40,15 @@ canonical sites through the same table.
 Every linear solve is one SuperLU factorization of the diagonally scaled
 matrix plus at most four steps of iterative refinement; the residual
 contract is enforced on every return, and its violation, like an exactly
-singular factor, is the resonance signal SingularOperator.  As T is
-symmetric, ||T^-1||_2 = 1 / min|eig T|, which inverse_norm reads off as the
-largest-magnitude eigenvalue of the factorized inverse.
+singular factor, is the resonance signal SingularOperator.
 
-greens_profile factorizes T once, for its norm and for the columns of
-T^-1.  The columns are solved in blocks of unit right-hand sides and folded
-block by block into the per-distance maxima, so no n x n array is formed.
-Where T commutes with the per-block sign flips (theta = 0 on an
-orbit-closed region), the canonical source columns alone cover every pair
-up to a mirror image.
+The diagnostics read T through its diagonal blocks instead: the connected
+components of its pattern (for every seed the solver accepts, the cosets of
+the seed's lattice), gathered as dense symmetric matrices and stacked by
+size.  As T is symmetric, ||T^-1||_2 = 1 / min|eig T|, which inverse_norm
+takes over the blocks' eigvalsh spectra; greens_profile inverts the blocks
+and folds each one's entries into the per-distance maxima, so neither an
+n x n array nor a sparse factor is formed.
 """
 
 from __future__ import annotations
@@ -59,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from . import lattice
@@ -71,14 +71,10 @@ SINGULAR_FLOOR = 1e-6
 
 _EPS = np.finfo(float).eps
 
-# Unit right-hand sides per solve in greens_profile: its working set is a
-# few n x _GREENS_BLOCK arrays, however large n is.
-_GREENS_BLOCK = 256
-
-
 class SingularOperator(Exception):
-    """The factorization found (numerical) rank deficiency, or the solve
-    could not reach its residual contract: a resonant lambda/E."""
+    """A factorization or block inverse found (numerical) rank deficiency,
+    or the solve could not reach its residual contract: a resonant
+    lambda/E."""
 
 
 def kernel_series(u: QPSeries, p: int) -> QPSeries:
@@ -304,41 +300,45 @@ def solve_linear(T: LinearizedOperator, rhs: np.ndarray, tol: float = 1e-13) -> 
     return _solve_scaled(T.matrix(), rhs, tol)
 
 
-def inverse_norm(M: sp.csc_matrix) -> float:
-    """||M^-1||_2 = 1 / min|eig M| of a symmetric matrix.
+def _diagonal_blocks(M: sp.spmatrix) -> list[tuple[np.ndarray, np.ndarray]]:
+    """M's diagonal blocks, one per connected component of its pattern.
 
-    The largest-magnitude eigenvalue of the factorized inverse, by Lanczos
-    (ARPACK) from a fixed pseudo-random start; a start vector without
-    antisymmetric components would miss the antisymmetric eigenvectors of
-    sign-flip-symmetric operators.  inf when the factor is singular or
-    yields non-finite solves.
+    Returns one (rows, blocks) pair per block size s, in increasing s: rows
+    is (k, s), each block's row indices in increasing order, and blocks is
+    the (k, s, s) stack of the dense submatrices M[rows[b]][:, rows[b]].
+    Every stored entry of M lies in one block, so M is the direct sum of
+    the blocks.
     """
-    try:
-        solve = _factorize(M)
-    except SingularOperator:
-        return math.inf
-    return _factored_inverse_norm(solve, M.shape[0])
+    _, labels = csgraph.connected_components(M, directed=False)
+    size = np.bincount(labels)[labels]
+    order = np.lexsort((labels, size))  # by block size, then block, then row
+    block = np.empty(len(size), dtype=np.int64)
+    pos = np.empty(len(size), dtype=np.int64)
+    C = M.tocoo()
+    out = []
+    for s in np.unique(size):
+        rows = order[size[order] == s].reshape(-1, s)
+        block[rows] = np.arange(len(rows))[:, None]
+        pos[rows] = np.arange(s)
+        hit = size[C.row] == s
+        r, c = C.row[hit], C.col[hit]
+        A = np.zeros((len(rows), s, s))
+        A[block[r], pos[r], pos[c]] = C.data[hit]
+        out.append((rows, A))
+    return out
 
 
-def _factored_inverse_norm(solve, n: int) -> float:
-    """inverse_norm of the n x n matrix M that an existing factorization
-    solves: solve(b) = M^-1 b."""
-    if n == 1:
-        return abs(float(solve(np.ones(1))[0]))
+def _block_inverse_norm(blocks) -> float:
+    """||M^-1||_2 = 1 / min|eig M| of a symmetric M from its diagonal
+    blocks (_diagonal_blocks); inf when that minimum is exactly 0."""
+    smallest = min(float(np.abs(np.linalg.eigvalsh(A)).min()) for _, A in blocks)
+    return 1.0 / smallest if smallest > 0.0 else math.inf
 
-    def matvec(x):
-        y = solve(x)
-        if not np.all(np.isfinite(y)):
-            raise SingularOperator("inverse has non-finite entries (zero pivot)")
-        return y
 
-    inverse = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        (mu,) = spla.eigsh(inverse, k=1, which="LM", v0=v0, return_eigenvectors=False)
-    except SingularOperator:
-        return math.inf
-    return abs(float(mu))
+def inverse_norm(M: sp.spmatrix) -> float:
+    """||M^-1||_2 = 1 / min|eig M| of a symmetric sparse matrix, from the
+    eigenvalues of its diagonal blocks; inf when M is exactly singular."""
+    return _block_inverse_norm(_diagonal_blocks(M))
 
 
 @dataclass(frozen=True)
@@ -370,21 +370,32 @@ def greens_profile(T: LinearizedOperator) -> GreensProfile:
     shell maxima max{|G(x, y)| : |x - y| = s} over all site pairs, beyond
     one tenth of the box scale.
 
-    T is factorized once, for the columns and for the norm.  The columns
-    G(., y) are solved for in blocks of _GREENS_BLOCK unit right-hand sides,
-    and each block is folded into the running shell maxima, so neither G
-    nor the pair distances are ever held whole: the working set is a few
-    n x _GREENS_BLOCK arrays.  When T commutes with the per-block sign
-    flips sigma (theta = 0 on an orbit-closed region), G(sigma x, sigma y)
-    = G(x, y) and |sigma x - sigma y| = |x - y|, so every pair has a mirror
-    image with a canonical source y, and only the canonical columns (about
-    n / 2^d) are solved for; the maxima then agree with the all-columns
-    ones up to the rounding of the mirror columns.  With theta != 0, or on
-    an explicit site list, every column is solved for.
+    G is block-diagonal like T, so each block of G is the dense inverse of
+    a block of T (one batched inverse per block size) and G(x, y) = 0
+    between blocks; the pair distances are formed within blocks only.  The
+    norm comes from the eigenvalues of the same blocks.  A singular block,
+    or one whose inverse has non-finite entries, raises SingularOperator.
     """
-    solve = _factorize(T.matrix())
-    maxes = _shell_maxima(T, solve)
-    op_norm = _factored_inverse_norm(solve, T.n)
+    blocks = _diagonal_blocks(T.matrix())
+    # separations per coordinate, in the narrowest signed dtype that holds
+    # the largest one
+    rel = T.sites - T.sites.min(axis=0)
+    extent = int(rel.max()) + 1
+    coords = rel.T.astype(np.min_scalar_type(-extent))
+    maxes = np.zeros(extent)
+    for rows, A in blocks:
+        try:
+            G = np.linalg.inv(A)
+        except np.linalg.LinAlgError as exc:
+            raise SingularOperator(f"singular block of {A.shape[1]} sites: {exc}") from exc
+        if not np.all(np.isfinite(G)):
+            raise SingularOperator("block inverse has non-finite entries")
+        dist = np.zeros(G.shape, dtype=coords.dtype)
+        for x in coords:
+            xb = x[rows]
+            np.maximum(dist, np.abs(xb[:, :, None] - xb[:, None, :]), out=dist)
+        np.maximum.at(maxes, dist.ravel(), np.abs(G).ravel())
+    op_norm = _block_inverse_norm(blocks)
 
     if T.region is not None:
         N = T.region.N
@@ -397,36 +408,6 @@ def greens_profile(T: LinearizedOperator) -> GreensProfile:
         fit = None
     return GreensProfile(op_norm_inverse=float(op_norm), decay=fit,
                          threshold_distance=threshold, N=N)
-
-
-def _shell_maxima(T: LinearizedOperator, solve) -> np.ndarray:
-    """Shell maxima of G = T^-1 (greens_profile), solve(b) = G b, at index s
-    for every l-infinity separation s the site list spans."""
-    n = T.n
-    sources = np.arange(n)
-    if T.region is not None and T.region.is_orbit_closed() and all(t == 0.0 for t in T.theta):
-        sources = sources[lattice.is_canonical_array(T.sites)]
-    # separations per coordinate, in the narrowest signed dtype that holds
-    # the largest one
-    rel = T.sites - T.sites.min(axis=0)
-    extent = int(rel.max()) + 1
-    coords = rel.T.astype(np.min_scalar_type(-extent))
-    maxes = np.zeros(extent)
-    for start in range(0, len(sources), _GREENS_BLOCK):
-        cols = sources[start:start + _GREENS_BLOCK]
-        # SuperLU solves in Fortran order: such a unit block goes in without
-        # a copy, and the transposed solution ravels without one
-        unit = np.zeros((n, len(cols)), order="F")
-        unit[cols, np.arange(len(cols))] = 1.0
-        G = solve(unit).T
-        if not np.all(np.isfinite(G)):
-            raise SingularOperator("inverse has non-finite entries (zero pivot)")
-        np.abs(G, out=G)
-        dist = np.zeros(G.shape, dtype=coords.dtype)
-        for x in coords:
-            np.maximum(dist, np.abs(x[cols, None] - x), out=dist)
-        np.maximum.at(maxes, dist.ravel(), G.ravel())
-    return maxes
 
 
 def covariance_discrepancy(u: QPSeries, E: float, lam: Frequency, theta, j0: Index,

@@ -4,17 +4,20 @@ The brute-force convolutions here are deliberately independent of the
 package's sparse accumulation path: plain nested loops over dictionary
 items, no boxes, no symmetrization.  The sorted-loop oracles are the
 package's earlier per-pair and per-site loops, kept to pin the array code
-to them bit for bit; dense_greens_profile is its earlier dense all-pairs
-Green's profile, kept to pin the streamed one.
+to them bit for bit; dense_greens_profile is a dense all-pairs Green's
+profile from NumPy's inverse and eigh of the whole matrix, sharing no
+code with the block-wise one it checks.
 """
 
 import itertools
 import math
 
 import numpy as np
+import pytest
 
+from qpwave import linop
 from qpwave.lattice import canonical, is_canonical, orbit, sites_array
-from qpwave.linop import GreensProfile, SingularOperator, _factorize, inverse_norm
+from qpwave.linop import GreensProfile, SingularOperator
 from qpwave.series import InsufficientData, QPSeries, fit_shell_decay
 
 # Frequencies with healthy Diophantine and separation margins, used as the
@@ -163,17 +166,22 @@ def theta_symbol(j, lam, theta) -> float:
 
 
 def dense_greens_profile(T) -> tuple[GreensProfile, dict[int, float]]:
-    """The all-pairs Green's profile from the dense inverse, with its shell
-    maxima: every column solved at once, an n x n distance matrix, one
-    np.maximum.at fold and a second factorization for the norm (the
-    package's earlier greens_profile)."""
+    """The all-pairs Green's profile from the dense matrix alone, with its
+    shell maxima: NumPy's inverse of T.to_dense(), an n x n distance
+    matrix, one np.maximum.at fold, and the norm as 1 / min|eig| of the
+    whole matrix."""
     n = T.n
-    M = T.matrix()
-    G = _factorize(M)(np.eye(n))
+    dense = T.to_dense()
+    G = np.linalg.inv(dense)
     if not np.all(np.isfinite(G)):
-        raise SingularOperator("inverse has non-finite entries (zero pivot)")
+        raise SingularOperator("inverse has non-finite entries")
 
-    op_norm = inverse_norm(M)
+    # 1 / min|eig T|, the eigenvalue refined by the Rayleigh quotient of its
+    # unit eigenvector: eigh's own rounding of it, about eps ||T|| relative
+    # to min|eig T|, reached 1.5e-12 on the property test's operators
+    w, V = np.linalg.eigh(dense)
+    v = V[:, np.argmin(np.abs(w))]
+    op_norm = 1.0 / abs(v @ dense @ v)
 
     if T.region is not None:
         N = T.region.N
@@ -200,3 +208,14 @@ def dense_greens_profile(T) -> tuple[GreensProfile, dict[int, float]]:
         fit = None
     return GreensProfile(op_norm_inverse=float(op_norm), decay=fit,
                          threshold_distance=threshold, N=N), shell_max
+
+
+def profile_with_shells(T) -> tuple[GreensProfile, np.ndarray]:
+    """greens_profile(T) and the shell maxima it fitted, read from its call
+    to fit_shell_decay."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linop, "fit_shell_decay",
+                   lambda shells, lo: seen.append(shells) or fit_shell_decay(shells, lo))
+        prof = linop.greens_profile(T)
+    return prof, np.array([seen[0][s] for s in range(len(seen[0]))])

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,16 @@ JT_STR = ",".join(str(c) for c in GOOD_JT)
 def solve_args(out, extra=()):
     return ["solve", "--d", "1", "--p", "1", "--a", "0.01",
             "--jtilde", JT_STR, "--lambda", LAM_STR, "--out", str(out), *extra]
+
+
+@pytest.mark.parametrize("module", ["qpwave", "qpwave.cli"])
+def test_module_entry_points_run_without_warnings(module):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", module, "--help"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: qpwave")
 
 
 def test_solve_writes_artifacts_and_verifies(tmp_path):

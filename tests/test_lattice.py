@@ -103,22 +103,6 @@ def test_box_minus_s_count():
         assert s not in sites
 
 
-def test_generalized_box_matches_orthant_strip():
-    cons = ("<", "<")
-    region = Region.generalized(2, cons)
-    sites = set(site_tuples(region, 1))
-    expected = {
-        j for j in itertools.product(range(-2, 3), repeat=2)
-        if not (j[0] < 0 and j[1] < 0)
-    }
-    assert sites == expected
-
-
-def test_generalized_box_needs_two_constraints():
-    with pytest.raises(ValueError):
-        Region.generalized(2, ("<", None))
-
-
 def test_box_minus_s_validates_membership():
     with pytest.raises(ValueError):
         Region.box_minus(1, [(5, 0)])

@@ -10,12 +10,14 @@ from helpers import (
     assembly_oracle,
     brute_conv_power,
     dense_greens_profile,
+    profile_with_shells,
     random_symmetric_series,
     seed_series,
     site_tuples,
     theta_symbol,
 )
 from qpwave import lattice, linop
+from qpwave.diagnostics import theta_bad_fraction
 from qpwave.lattice import Region, canonical, is_canonical, orbit, symbol
 from qpwave.linop import (
     ReducedOperator,
@@ -220,44 +222,59 @@ def test_greens_profile_covariance_invariance():
 
 def test_greens_profile_d2_matches_dense_profile():
     # the operator a d = 2 sweep sample profiles: box minus the pinned orbit
-    # around a converged solution, n = 2397 sites, three blocks of
-    # canonical source columns
+    # around a converged solution, n = 2397 sites in many small blocks
     cfg = ProblemConfig(d=2, p=1, a=0.02, jtilde=GOOD_JT_D2, lam=GOOD_LAM_D2, M=2, N_max=4)
     rec = solve(cfg, precheck=False)
     T = assemble(rec.u, rec.E, cfg.lam, None, Region.box_minus(3, orbit(GOOD_JT_D2)), cfg.p)
     assert T.n == 2397
-    prof = greens_profile(T)
+    prof, shells = profile_with_shells(T)
     dense, dense_shells = dense_greens_profile(T)
-    shells = linop._shell_maxima(T, linop._factorize(T.matrix()))
     expected = np.array([dense_shells[s] for s in range(len(dense_shells))])
     assert np.allclose(shells, expected, rtol=1e-13, atol=0.0)
-    assert prof.op_norm_inverse == dense.op_norm_inverse
+    assert prof.op_norm_inverse == pytest.approx(dense.op_norm_inverse, rel=1e-12)
     assert math.isfinite(prof.decay.rate) and prof.decay.rate > 0.0
     assert prof.decay.rate == pytest.approx(dense.decay.rate, rel=1e-12)
 
 
 def test_greens_profile_factorizes_once(monkeypatch):
+    # the blocks are found once per profile, and its norm is inverse_norm's
     calls = []
-    real = linop._factorize
-    monkeypatch.setattr(linop, "_factorize", lambda M: calls.append(M.shape) or real(M))
+    real = linop._diagonal_blocks
+    monkeypatch.setattr(linop, "_diagonal_blocks", lambda M: calls.append(M.shape) or real(M))
     u = seed_series(1, 0.05)
     T = assemble(u, symbol((1, 1), GOOD_LAM) - 0.6, GOOD_LAM, None, Region.full_box(4), p=1)
-    assert greens_profile(T).op_norm_inverse == linop.inverse_norm(T.matrix())
-    assert calls == [(T.n, T.n)] * 2  # the profile's one, then inverse_norm's
+    prof = greens_profile(T)
+    assert calls == [(T.n, T.n)]
+    assert prof.op_norm_inverse == linop.inverse_norm(T.matrix())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_greens_profile_rejects_non_finite_columns(bad):
-    # a factorization can succeed and still solve to non-finite columns
-    T = assemble(QPSeries.zero(1), -0.25, GOOD_LAM, None, Region.full_box(4), p=1)
+def test_greens_profile_rejects_non_finite_columns(bad, monkeypatch):
+    # an inversion can succeed and still produce non-finite entries
+    T = assemble(seed_series(1, 0.05), -0.25, GOOD_LAM, None, Region.full_box(4), p=1)
+    real = np.linalg.inv
 
-    def poisoned(b):
-        x = np.array(b)
-        x[T.n // 2, -1] = bad
-        return x
+    def poisoned(A):
+        G = real(A)
+        G[-1, -1, 0] = bad
+        return G
 
+    monkeypatch.setattr(np.linalg, "inv", poisoned)
     with pytest.raises(SingularOperator, match="non-finite entries"):
-        linop._shell_maxima(T, poisoned)
+        greens_profile(T)
+
+
+def test_exactly_singular_block():
+    # zero kernel: T is diagonal, and at theta = 0.5 its j = 0 entry
+    # (0 + 0.5)^2 - 0.25 is exactly 0
+    u, E, region = QPSeries.zero(1), 0.25, Region.full_box(2)
+    T = assemble(u, E, GOOD_LAM, (0.5,), region, p=1)
+    assert linop.inverse_norm(T.matrix()) == math.inf
+    res = theta_bad_fraction(u, E, GOOD_LAM, N=2, axis=1, grid_step=0.25, norm_threshold=1e6)
+    at = np.flatnonzero(res.thetas == 0.5)
+    assert len(at) == 1 and res.bad[at[0]] and res.inv_norms[at[0]] == math.inf
+    with pytest.raises(SingularOperator):
+        greens_profile(T)
 
 
 def _reduced_action(red):
@@ -383,20 +400,6 @@ def test_reduced_matrix_matches_definition(d, N, lam, jt, p):
                             region.contains, rep=canonical,
                             weights=[len(orbit(j)) for j in sites])
     _assert_matches_oracle(red.matrix(), M_def)
-
-
-def test_linearized_matrix_matches_definition_generalized_box():
-    rng = np.random.default_rng(12)
-    u = random_symmetric_series(1, rng, n_orbits=4, box_n=3, scale=0.1)
-    region = Region.generalized(4, ("<", ">"))
-    theta = (0.37,)
-    T = assemble(u, 0.9, GOOD_LAM, theta, region, p=2)
-    assert T.kernel.support_radius() > region.N
-    sites = site_tuples(region, 1)
-    assert [tuple(map(int, s)) for s in T.sites] == sites
-    M_def = assembly_oracle(sites, [theta_symbol(j, GOOD_LAM, theta) - 0.9 for j in sites],
-                            T.kernel, region.contains)
-    _assert_matches_oracle(T.matrix(), M_def)
 
 
 @pytest.mark.parametrize("d,lam,j0", [(1, GOOD_LAM, (5, -2)), (2, GOOD_LAM_D2, (3, 0, -1, 2))])

@@ -1,7 +1,7 @@
 """Property tests: the table-driven assembly and series solve against their
 entry-by-entry definitions, the array convolution and orbit expansion
 against the sequential loops they replaced, the series storage invariant
-after every series-producing layer, and the streamed Green's profile
+after every series-producing layer, and the block-wise Green's profile
 against the dense all-pairs one, over random profiles, boxes and shifts."""
 
 import math
@@ -17,12 +17,12 @@ from helpers import (
     assembly_oracle,
     dense_greens_profile,
     orbit_loop_from_canonical,
+    profile_with_shells,
     site_tuples,
     sorted_loop_convolve,
 )
-from qpwave import linop
-from qpwave.lattice import Region, canonical, is_canonical, is_canonical_array, orbit, symbol
-from qpwave.linop import ReducedOperator, assemble, greens_profile, kernel_series
+from qpwave.lattice import Region, canonical, is_canonical, orbit, symbol
+from qpwave.linop import ReducedOperator, assemble, kernel_series
 from qpwave.series import QPSeries, convolve, truncate
 from qpwave.solver import residual
 
@@ -208,63 +208,52 @@ def test_every_layer_keeps_the_storage_invariant(inst):
 
 @st.composite
 def _greens_instances(draw):
-    """An operator on a box minus an orbit at theta = 0 (canonical source
-    columns), at a drawn nonzero theta, or on the box's site list translated
-    by j0 (every column, either way).  Up to N = 12 at d = 1 and N = 2 at
-    d = 2, the solved columns run from one partial block to three."""
+    """An operator on a box minus an orbit at theta = 0, at a drawn nonzero
+    theta, or on the box's site list translated by j0, up to N = 12 at
+    d = 1 and N = 2 at d = 2."""
     d = draw(st.sampled_from([1, 2]))
     N = draw(st.integers(1, 12 if d == 1 else 2))
-    path = draw(st.sampled_from(["canonical", "theta", "translated"]))
+    path = draw(st.sampled_from(["zero", "theta", "translated"]))
     u = draw(_series(d, 2, 0.3, 3 if d == 1 else 2))
     jtilde = draw(_site(d, N).filter(any))
     region = Region.box_minus(N, orbit(jtilde))
     theta = (0.0,) * d
-    if path != "canonical":
+    if path != "zero":
         thetas = st.tuples(*[st.floats(-1.0, 1.0)] * d)
         theta = draw(thetas.filter(any) if path == "theta" else thetas)
     if path == "translated":
         j0 = draw(_site(d, 3))
         region = [tuple(a + b for a, b in zip(j, j0)) for j in site_tuples(region, d)]
-    return d, u, theta, region, path
+    return d, u, theta, region
 
 
-def _canonical_greens_example(d, N):
-    """Theta = 0 on the box minus the pinned orbit: at d = 1, N = 12 the 312
-    canonical columns are one full block and a partial one."""
+def _zero_theta_greens_example(d, N):
+    """Theta = 0 on the box minus the pinned orbit."""
     u = QPSeries.from_canonical(d, {(0,) * (2 * d): 0.1, (1,) * (2 * d): 0.05})
-    return d, u, (0.0,) * d, Region.box_minus(N, orbit((1,) * (2 * d))), "canonical"
+    return d, u, (0.0,) * d, Region.box_minus(N, orbit((1,) * (2 * d)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_greens_instances())
-@example(_canonical_greens_example(1, 12))
-@example(_canonical_greens_example(2, 2))
+@example(_zero_theta_greens_example(1, 12))
+@example(_zero_theta_greens_example(2, 2))
 def test_streamed_greens_profile_matches_dense_profile(inst):
-    d, u, theta, region, path = inst
+    d, u, theta, region = inst
     lam = GOOD_LAM if d == 1 else GOOD_LAM_D2
     T = assemble(u, -1.0, lam, theta, region, 1)
     dense, dense_shells = dense_greens_profile(T)
-
-    solve = linop._factorize(T.matrix())
-    blocks = []
-
-    def counted(b):
-        blocks.append(b.shape[1])
-        return solve(b)
-
-    shells = linop._shell_maxima(T, counted)
-    prof = greens_profile(T)
-    assert max(blocks) <= linop._GREENS_BLOCK
-    assert prof.op_norm_inverse == dense.op_norm_inverse
+    prof, shells = profile_with_shells(T)
     assert len(shells) == len(dense_shells)
     expected = np.array([dense_shells[s] for s in range(len(shells))])
-    if path == "canonical":
-        assert sum(blocks) == np.count_nonzero(is_canonical_array(T.sites))
-        # the mirror images of a canonical column are solves of their own,
-        # equal to it up to rounding; unoccupied shells stay exactly zero
-        assert np.allclose(shells, expected, rtol=1e-13, atol=0.0)
-        assert (prof.decay is None) == (dense.decay is None)
-    else:
-        assert sum(blocks) == T.n
-        assert np.array_equal(shells, expected)
-        assert prof == dense
+    # block inverses against the whole matrix's inverse agree up to
+    # rounding; unoccupied shells stay exactly zero
+    assert np.allclose(shells, expected, rtol=1e-13, atol=0.0)
+    # a backward-stable eigvalsh is off by about eps ||T|| in min|eig T|, so
+    # the norm's relative error grows with the condition number kappa; the
+    # block norms were within 2.2 eps kappa of the refined dense one
+    kappa = abs(T.matrix()).sum(axis=0).max() * dense.op_norm_inverse
+    rel = max(1e-12, 8 * np.finfo(float).eps * kappa)
+    assert prof.op_norm_inverse == pytest.approx(dense.op_norm_inverse, rel=rel)
+    assert (prof.decay is None) == (dense.decay is None)
+    if prof.decay is not None:
+        assert prof.decay.rate == pytest.approx(dense.decay.rate, rel=1e-12)
