@@ -165,6 +165,29 @@ def sites_array(region: Region, d: int) -> np.ndarray:
     return pts[mask]
 
 
+def coupled_sites(jtilde: Index, N: int) -> np.ndarray:
+    """The canonical sites that the Newton system on the box of scale N
+    minus orbit(jtilde) couples to its right-hand side, as an (n, 2d) int64
+    array in lexicographic order.
+
+    Block k of each site is an odd multiple m * canonical(jtilde_k), m >= 1,
+    with |m * jtilde_k| <= N (the zero pair alone when jtilde_k is zero);
+    the sites are every product of these blocks except canonical(jtilde).
+    Every iterate lives on odd multiples and the kernel u^(*2p) on even
+    ones, so these equations decouple exactly from the rest of the box.
+    """
+    c = canonical(jtilde)
+    blocks = []
+    for k in range(0, len(c), 2):
+        b = np.array(c[k:k + 2], dtype=np.int64)
+        top = N // int(np.abs(b).max()) if b.any() else 1  # largest m with |m b| <= N
+        # b is canonical, so its multiples are in lexicographic order
+        blocks.append(np.arange(1, top + 1, 2, dtype=np.int64)[:, None] * b)
+    picks = np.meshgrid(*[np.arange(len(b)) for b in blocks], indexing="ij")
+    sites = np.concatenate([b[i.ravel()] for b, i in zip(blocks, picks)], axis=1)
+    return sites[np.any(sites != np.asarray(c, dtype=np.int64), axis=1)]
+
+
 def encode(pts: np.ndarray, bound: int) -> np.ndarray:
     """Injective int64 code for integer rows with coordinates in [-bound, bound].
 

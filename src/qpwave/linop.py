@@ -20,27 +20,38 @@ in the set) into a CSC matrix cached by matrix().  Two site sets occur:
   theta-shifted diagnostics (the sign-flip symmetry is broken when
   theta != 0), for Green's-function decay profiles, and for the covariance
   identity; it is exactly symmetric;
-* ReducedOperator, the matrix on canonical orbit representatives at
-  theta = 0, where the symmetric subspace is invariant, used by the Newton
-  solver; the kernel is summed over each source orbit and rows and columns
-  are weighted by sqrt(orbit size) so it stays symmetric.
+* ReducedOperator, the matrix on a list of canonical orbit representatives
+  of a region at theta = 0, where the symmetric subspace is invariant, used
+  by the Newton solver; the kernel is summed over each source orbit and
+  rows and columns are weighted by sqrt(orbit size) so it stays symmetric.
+  The solver lists only the coupled set (lattice.coupled_sites), the one
+  coset of the seed's lattice that its residual drives, so this is the
+  coupled block of the box-minus-orbit system and never the whole box.
+  Block k of every listed site is an odd multiple m * jtilde_k, which is
+  why the profile the solver builds is periodic in each x_k, with
+  frequencies m * omega_k, omega_k = jtilde_k . lambda_k.
 
-Both are assembled through one site table per operator: an integer array
-over a box, in lattice.encode order, holding each box site's row or -1.  The
-ReducedOperator's box is the region's [-N, N]^(2d), and a site's row is that
-of its canonical representative (-1 outside the region); the
-LinearizedOperator's box is the bounding box of its site list, and a site's
-row is its own.  The table is built once, from the one enumeration of the
-region; then each kernel offset (each orbit member of the kernel, in
-lexicographic order) costs a per-coordinate range test (is the source site
-- offset in the box?), one integer shift of the site codes and one gather
-from the table.  ReducedOperator.solve_series reads its right-hand side's
-canonical sites through the same table.
+The LinearizedOperator is assembled through a site table: an integer array
+over the bounding box of its site list, in lattice.encode order, holding
+each box site's row or -1.  Each kernel offset (each orbit member of the
+kernel, in lexicographic order) costs a per-coordinate range test (is the
+source site - offset in the box?), one integer shift of the site codes and
+one gather from the table.  The ReducedOperator looks every (offset, site)
+pair up at once, offset-major, so its COO entries come in the same order:
+the source site - offset is canonicalized, encoded and searchsorted
+against the list's sorted codes, and a hit is in the region because every
+listed site is.  ReducedOperator.solve_series reads its right-hand side's
+sites the same way; one inside the region but off the list raises, since
+dropping it would hide a broken invariant.
 
 Every linear solve is one SuperLU factorization of the diagonally scaled
 matrix plus at most four steps of iterative refinement; the residual
 contract is enforced on every return, and its violation, like an exactly
-singular factor, is the resonance signal SingularOperator.
+singular factor, is the resonance signal SingularOperator.  The scaling
+floor (_scaling) and the contract's norm estimate are those of the matrix
+solved: for a Newton step, the coupled matrix, so a Newton step raises
+SingularOperator only for a resonance on the coupled set.  The decoupled
+cosets are measured by the diagnostics below.
 
 The diagnostics read T through its diagonal blocks instead: the connected
 components of its pattern (for every seed the solver accepts, the cosets of
@@ -116,25 +127,31 @@ class _SiteTable:
         return i[hit].astype(np.int32), rows[hit]
 
 
-def _sparse_matrix(diag: np.ndarray, kernel: QPSeries, sites: np.ndarray,
-                   table: _SiteTable) -> sp.csc_matrix:
-    """diag on the diagonal minus kernel(off) at every (i, row of sites[i] - off)
-    that the table holds; entries sharing a position are summed."""
+def _sparse_matrix(diag: np.ndarray, entries) -> sp.csc_matrix:
+    """diag on the diagonal plus vals at (rows, cols) for every (rows, cols,
+    vals) part of entries; entries sharing a position are summed."""
     n = len(diag)
-    coords, codes = np.ascontiguousarray(sites.T), table.codes(sites)
     diagonal = np.arange(n, dtype=np.int32)
     rows, cols, vals = [diagonal], [diagonal], [np.asarray(diag, dtype=float)]
-    offsets, kvals = kernel.orbit_members()
-    for off, val in zip(offsets, kvals.tolist()):
-        r, c = table.locate(coords, codes, off)
+    for r, c, v in entries:
         rows.append(r)
         cols.append(c)
-        vals.append(np.full(len(r), -val))
+        vals.append(v)
     # concatenate one list at a time, so each list's parts are freed before the next
     vals = np.concatenate(vals)
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+
+
+def _table_entries(kernel: QPSeries, sites: np.ndarray, table: _SiteTable):
+    """(i, row of sites[i] - off, -kernel(off)) for each kernel offset off in
+    lexicographic order, over every site i whose source the table holds."""
+    coords, codes = np.ascontiguousarray(sites.T), table.codes(sites)
+    offsets, kvals = kernel.orbit_members()
+    for off, val in zip(offsets, kvals.tolist()):
+        r, c = table.locate(coords, codes, off)
+        yield r, c, np.full(len(r), -val)
 
 
 def _by_column(M: sp.csc_matrix, x: np.ndarray) -> np.ndarray:
@@ -169,7 +186,7 @@ class LinearizedOperator:
     def matrix(self) -> sp.csc_matrix:
         """The operator as a CSC matrix, assembled on first use."""
         if self._matrix is None:
-            self._matrix = _sparse_matrix(self.diag, self.kernel, self.sites, self._table)
+            self._matrix = _sparse_matrix(self.diag, _table_entries(self.kernel, self.sites, self._table))
         return self._matrix
 
     def to_dense(self) -> np.ndarray:
@@ -439,73 +456,102 @@ def covariance_discrepancy(u: QPSeries, E: float, lam: Frequency, theta, j0: Ind
 
 class ReducedOperator:
     """The operator restricted to the sign-flip-symmetric subspace at
-    theta = 0, realized on canonical orbit representatives.
+    theta = 0, realized on a list of canonical orbit representatives.
 
     The reduced entry aggregates the kernel over the source orbit; rows and
     columns are weighted by sqrt(orbit size) so the realization stays
-    symmetric.  Only valid on orbit-closed regions.
+    symmetric.  Only valid on orbit-closed regions.  sites holds distinct
+    canonical region sites in lexicographic order; the realization is the
+    region's reduced operator restricted to them, which is its exact
+    diagonal block when no kernel offset links them to the rest of the
+    region (the Newton solver passes lattice.coupled_sites).  The region
+    gives the box scale N and the membership of kernel sources.
     """
 
-    def __init__(self, kernel: QPSeries, E: float, lam: Frequency, region: Region):
+    def __init__(self, kernel: QPSeries, E: float, lam: Frequency, region: Region,
+                 sites: np.ndarray):
         if not region.is_orbit_closed():
             raise ValueError("symmetry reduction needs an orbit-closed region")
         d = kernel.d
+        sites = np.asarray(sites, dtype=np.int64).reshape(-1, 2 * d)
+        if not (np.all(region.contains_array(sites))
+                and np.all(lattice.is_canonical_array(sites))):
+            raise ValueError("reduced sites must be canonical sites of the region")
+        # encode order is lexicographic order, so sorted distinct sites have
+        # strictly increasing codes
+        self._codes = lattice.encode(sites, region.N)
+        if np.any(np.diff(self._codes) <= 0):
+            raise ValueError("reduced sites must be distinct and in lexicographic order")
         self.d = d
         self.E = E
         self.lam = tuple(lam)
         self.region = region
-        pts = lattice.sites_array(region, d)
-        canon = lattice.canonicalize_array(pts)
-        canon_mask = np.all(canon == pts, axis=1)
-        self.sites = pts[canon_mask]
-        self.n = len(self.sites)
-        self.weights = lattice.orbit_sizes_array(self.sites).astype(float)
-        self.diag = lattice.symbol_array(self.sites, lam) - E
+        self.sites = sites
+        self.n = len(sites)
+        self.weights = lattice.orbit_sizes_array(sites).astype(float)
+        self.diag = lattice.symbol_array(sites, lam) - E
         self.kernel = kernel
-        # every region site maps to the row of its canonical representative
-        edge = np.full(2 * d, region.N, dtype=np.int64)
-        self._table = _SiteTable(-edge, edge)
-        codes = self._table.codes(pts)
-        self._table.rows[codes[canon_mask]] = np.arange(self.n)
-        rows = self._table.rows[self._table.codes(canon)]
-        if np.any(rows < 0):
-            # canonical representative of an in-region site is in-region
-            # for orbit-closed regions; anything else is a bug
-            raise AssertionError("canonical source site missing from region")
-        self._table.rows[codes] = rows
         self._matrix = None
+
+    def _rows(self, canon: np.ndarray) -> np.ndarray:
+        """Row of each canonical site in the site list, -1 where it has none."""
+        N = self.region.N
+        codes = np.where(np.all(np.abs(canon) <= N, axis=1), lattice.encode(canon, N), -1)
+        pos = np.searchsorted(self._codes, codes)
+        hit = pos < self.n
+        hit[hit] = self._codes[pos[hit]] == codes[hit]
+        return np.where(hit, pos, -1)
+
+    def _kernel_entries(self):
+        """(i, row of the representative of sites[i] - off, -kernel(off)) for
+        every kernel offset off and site i whose source has a row, in one
+        lookup over all pairs, offset-major (offsets in lexicographic order)."""
+        offsets, kvals = self.kernel.orbit_members()
+        src = (self.sites[None, :, :] - offsets[:, None, :]).reshape(-1, 2 * self.d)
+        rows = self._rows(lattice.canonicalize_array(src))
+        hit = np.flatnonzero(rows >= 0)
+        k, i = np.divmod(hit, self.n)
+        return i, rows[hit], -kvals[k]
 
     def matrix(self) -> sp.csc_matrix:
         """Symmetrized reduced matrix (CSC), assembled on first use."""
         if self._matrix is None:
-            M = _sparse_matrix(self.diag, self.kernel, self.sites, self._table)
+            M = _sparse_matrix(self.diag, [self._kernel_entries()])
             sq = np.sqrt(self.weights)
             M.data = M.data * sq[M.indices] / _by_column(M, sq)
             self._matrix = M
         return self._matrix
 
     def solve(self, rhs_canonical: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-        """Solve the reduced system for values on canonical sites.
+        """Solve the reduced system for values on the listed sites.
 
         rhs_canonical holds the symmetric right-hand side's values at the
-        canonical sites; the returned vector is in the same coordinates.
+        listed sites; the returned vector is in the same coordinates.  An
+        empty list has the empty solution, and no matrix is built.
         """
         rhs_canonical = np.asarray(rhs_canonical, dtype=float)
         if rhs_canonical.shape != (self.n,):
             raise ValueError("rhs shape mismatch with reduced site list")
+        if self.n == 0:
+            return np.zeros(0)
         sq = np.sqrt(self.weights)
         return _solve_scaled(self.matrix(), rhs_canonical * sq, tol) / sq
 
     def solve_series(self, rhs: QPSeries, tol: float = 1e-13) -> QPSeries:
         """Solve with a series right-hand side, returning a series.
 
-        rhs sites outside the region are dropped; the nonzero solution rows
-        are canonical and sorted, so they are a series as they stand.
+        rhs sites outside the region are dropped; an rhs site inside the
+        region but off the site list raises AssertionError, as it means the
+        list does not hold the equations the right-hand side drives.  The
+        nonzero solution rows are canonical and sorted, so they are a series
+        as they stand.
         """
-        here = np.zeros(2 * self.d, dtype=np.int64)
-        i, rows = self._table.locate(np.ascontiguousarray(rhs.sites.T), self._table.codes(rhs.sites), here)
+        inside = self.region.contains_array(rhs.sites)
+        rows = self._rows(rhs.sites[inside])
+        if np.any(rows < 0):
+            raise AssertionError("right-hand side reaches a region site off the reduced site list")
         rhs_vec = np.zeros(self.n)
-        rhs_vec[rows] = rhs.vals[i]
+        rhs_vec[rows] = rhs.vals[inside]
         w = self.solve(rhs_vec, tol=tol)
         nz = np.nonzero(w)[0]
         return QPSeries(self.d, self.sites[nz], w[nz])

@@ -15,6 +15,26 @@ u^(*(2p+1)) feeds both the eigenvalue update and the residual, so the
 pinned equations cancel to rounding.  Iterates, residuals and increments
 are QPSeries, held on canonical sites, so every array step here works on
 canonical sites only and the symmetry invariant needs no check.
+
+Each Newton step solves only the equations its residual drives.  For every
+seed the solver accepts (all blocks of jtilde nonzero, or all zero), block
+k of every site of every iterate is an odd multiple of jtilde_k, and the
+kernel u^(*2p) lives on even multiples.  The box-minus-orbit system
+therefore splits exactly over the cosets of the lattice
+2Z jtilde_1 x ... x 2Z jtilde_d, and the residual touches one of them,
+which lattice.coupled_sites enumerates in closed form (15 sites at d = 2,
+N = 8, where the box minus the orbit has 21024 canonical sites); the
+increment is exactly 0 on the others.  Consequences:
+
+* the profile is periodic in each x_k: it carries only the frequencies
+  m * omega_k, with m odd and omega_k = jtilde_k . lambda_k;
+* SingularOperator from a Newton step reports a resonance of the coupled
+  matrix only; the decoupled cosets are still profiled by
+  linop.greens_profile;
+* the solve's scaling floor and its residual contract's norm estimate are
+  those of the coupled matrix;
+* the separation precheck (diagnostics.separation_margin) keeps its
+  whole-box definition.
 """
 
 from __future__ import annotations
@@ -229,8 +249,9 @@ def newton_step(u: QPSeries, E: float, cfg: ProblemConfig, N: int,
                 chain: tuple[QPSeries, QPSeries] | None = None) -> tuple[QPSeries, float]:
     """One truncated Newton increment on the box minus the resonant orbit.
 
-    Returns (increment, residual norm before the step).  The increment is
-    supported inside the box with the pinned orbit untouched.  chain is
+    Returns (increment, residual norm before the step).  The system is
+    solved on the coupled set (lattice.coupled_sites) only; the increment is
+    exactly 0 on the rest of the box and on the pinned orbit.  chain is
     powers(u, cfg.p), formed here when not supplied.  Asserts that the
     pinned equations vanish for the supplied E, which they must when E came
     from q_update on the same iterate.
@@ -244,7 +265,8 @@ def newton_step(u: QPSeries, E: float, cfg: ProblemConfig, N: int,
                 f"pinned equations not solved: |F(jtilde)| = {q_resid:.3e} > 1e-15*a"
             )
     region = Region.box_minus(N, cfg.resonant_set())
-    op = ReducedOperator(half.scale(2.0 * cfg.p + 1.0), E, cfg.lam, region)
+    op = ReducedOperator(half.scale(2.0 * cfg.p + 1.0), E, cfg.lam, region,
+                         lattice.coupled_sites(cfg.jtilde, N))
     w = op.solve_series(F)
     return w.scale(-1.0), F.l2_norm()
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from qpwave import linop
-from qpwave.lattice import canonical, is_canonical, orbit, sites_array
+from qpwave.lattice import canonical, is_canonical, is_canonical_array, orbit, sites_array
 from qpwave.linop import GreensProfile, SingularOperator
 from qpwave.series import InsufficientData, QPSeries, fit_shell_decay
 
@@ -34,6 +34,22 @@ GOOD_JT_D2 = (1, 0, 0, 1)
 def site_tuples(region, d: int) -> list[tuple[int, ...]]:
     """The region's sites as tuples, in sites_array's lexicographic order."""
     return list(map(tuple, sites_array(region, d).tolist()))
+
+
+def canonical_sites(region, d: int) -> np.ndarray:
+    """Every canonical site of the region, in lexicographic order: the site
+    list of the region's whole reduced system."""
+    pts = sites_array(region, d)
+    return pts[is_canonical_array(pts)]
+
+
+def odd_multiple(block, base) -> bool:
+    """Whether an integer pair is m * base for an odd m >= 1; for a zero
+    base, whether it is the zero pair."""
+    if tuple(base) == (0, 0):
+        return tuple(block) == (0, 0)
+    m = block[0] // base[0] if base[0] else block[1] // base[1]
+    return m >= 1 and m % 2 == 1 and tuple(block) == (m * base[0], m * base[1])
 
 
 def brute_convolve(A: dict, B: dict) -> dict:

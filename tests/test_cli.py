@@ -53,6 +53,20 @@ def test_verify_forms_one_convolution_chain(tmp_path, monkeypatch, p):
     assert calls["n"] == 2 * int(p)
 
 
+@pytest.mark.parametrize("argv", [
+    # the default d = 3 solve (N_max 8)
+    ["--d", "3", "--M", "2", "--jtilde", "1,0,0,1,1,0",
+     "--lambda", "1.05,0.723,0.8,1.31,1.21,0.57", "--force"],
+    # a zero seed: the constant branch, accepted before any Newton step
+    ["--d", "1", "--a", "0.25", "--jtilde", "0,0", "--lambda", LAM_STR],
+], ids=["d3-default", "zero-seed"])
+def test_solve_and_verify(tmp_path, capsys, argv):
+    assert cli.main(["solve", *argv, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("accepted:")
+    assert cli.main(["verify", "--in", str(tmp_path / "solution.json")]) == 0
+    assert json.loads((tmp_path / "solution.json").read_text())["accepted"] is True
+
+
 def test_solve_rejects_planted_resonance(tmp_path, capsys):
     code = cli.main(["solve", "--d", "1", "--p", "1", "--a", "0.01",
                      "--jtilde", "1,0", "--lambda", "1.0,1.0",

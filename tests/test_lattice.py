@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import site_tuples
+from helpers import odd_multiple, site_tuples
 from qpwave import lattice
 from qpwave.lattice import (
     Region,
@@ -139,6 +139,26 @@ def test_sites_array_matches_enumeration():
     arr = lattice.sites_array(region, 1)
     expected = [j for j in itertools.product(range(-2, 3), repeat=2) if region.contains(j)]
     assert [tuple(map(int, row)) for row in arr] == expected
+
+
+@pytest.mark.parametrize("jtilde", [(1, 1), (-1, 2), (0, -1), (2, 2), (0, 0),
+                                    (1, 0, 0, 1), (-2, 1, 1, -1), (0, 0, 0, 0)])
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_coupled_sites_match_box_enumeration(jtilde, N):
+    d = len(jtilde) // 2
+    c = canonical(jtilde)
+    expected = [j for j in site_tuples(Region.box_minus(N, orbit(jtilde)), d)
+                if is_canonical(j)
+                and all(odd_multiple(j[k:k + 2], c[k:k + 2]) for k in range(0, 2 * d, 2))]
+    got = lattice.coupled_sites(jtilde, N)
+    assert got.dtype == np.int64 and got.shape == (len(expected), 2 * d)
+    assert list(map(tuple, got.tolist())) == expected
+
+
+@pytest.mark.parametrize("jtilde", [(1, 1), (1, 0, 0, 1), (0, 0), (0, 0, 0, 0)])
+def test_coupled_sites_empty_at_first_scale(jtilde):
+    # the next odd multiple, 3 * jtilde_k, is outside the box of scale 2
+    assert lattice.coupled_sites(jtilde, 2).shape == (0, len(jtilde))
 
 
 def test_canonicalize_array_matches_scalar():

@@ -9,6 +9,7 @@ from helpers import (
     GOOD_LAM_D2,
     assembly_oracle,
     brute_conv_power,
+    canonical_sites,
     dense_greens_profile,
     profile_with_shells,
     random_symmetric_series,
@@ -236,7 +237,7 @@ def test_greens_profile_d2_matches_dense_profile():
     assert prof.decay.rate == pytest.approx(dense.decay.rate, rel=1e-12)
 
 
-def test_greens_profile_factorizes_once(monkeypatch):
+def test_greens_profile_finds_blocks_once(monkeypatch):
     # the blocks are found once per profile, and its norm is inverse_norm's
     calls = []
     real = linop._diagonal_blocks
@@ -249,7 +250,7 @@ def test_greens_profile_factorizes_once(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_greens_profile_rejects_non_finite_columns(bad, monkeypatch):
+def test_greens_profile_rejects_non_finite_block_inverse(bad, monkeypatch):
     # an inversion can succeed and still produce non-finite entries
     T = assemble(seed_series(1, 0.05), -0.25, GOOD_LAM, None, Region.full_box(4), p=1)
     real = np.linalg.inv
@@ -305,7 +306,7 @@ def test_reduced_operator_matches_full_on_symmetric_vectors():
     rng = np.random.default_rng(6)
     u = random_symmetric_series(1, rng, n_orbits=4, box_n=2, scale=0.1)
     region = Region.box_minus(3, orbit((1, 1)))
-    red = ReducedOperator(kernel_series(u, 1), 0.8, GOOD_LAM, region)
+    red = ReducedOperator(kernel_series(u, 1), 0.8, GOOD_LAM, region, canonical_sites(region, 1))
     T = assemble(u, 0.8, GOOD_LAM, None, region, p=1)
     # random symmetric vector via a random series
     w = random_symmetric_series(1, rng, n_orbits=5, box_n=3)
@@ -321,7 +322,8 @@ def test_reduced_operator_matches_full_on_symmetric_vectors():
 def test_reduced_matrix_nearly_symmetric():
     rng = np.random.default_rng(7)
     u = random_symmetric_series(2, rng, n_orbits=3, box_n=1, scale=0.2)
-    red = ReducedOperator(kernel_series(u, 1), 0.4, D2_LAM, Region.full_box(2))
+    region = Region.full_box(2)
+    red = ReducedOperator(kernel_series(u, 1), 0.4, D2_LAM, region, canonical_sites(region, 2))
     M = red.matrix()
     scale = np.max(np.abs(M))
     assert np.max(np.abs(M - M.T)) <= 1e-14 * scale
@@ -331,7 +333,7 @@ def test_reduced_solve_matches_full_solve():
     rng = np.random.default_rng(8)
     u = random_symmetric_series(1, rng, n_orbits=3, box_n=2, scale=0.05)
     region = Region.box_minus(4, orbit((1, 1)))
-    red = ReducedOperator(kernel_series(u, 1), -1.2, GOOD_LAM, region)
+    red = ReducedOperator(kernel_series(u, 1), -1.2, GOOD_LAM, region, canonical_sites(region, 1))
     rhs = random_symmetric_series(1, rng, n_orbits=4, box_n=3)
     w_series = red.solve_series(rhs)
     T = assemble(u, -1.2, GOOD_LAM, None, region, p=1)
@@ -343,8 +345,36 @@ def test_reduced_solve_matches_full_solve():
 
 def test_reduced_requires_orbit_closed_region():
     u = QPSeries.zero(1)
-    with pytest.raises(ValueError):
-        ReducedOperator(kernel_series(u, 1), 0.0, GOOD_LAM, Region.box_minus(3, [(1, 1)]))
+    region = Region.box_minus(3, [(1, 1)])
+    with pytest.raises(ValueError, match="orbit-closed"):
+        ReducedOperator(kernel_series(u, 1), 0.0, GOOD_LAM, region, canonical_sites(region, 1))
+
+
+@pytest.mark.parametrize("sites", [[(1, 1)], [(-3, 3)], [(5, 5)], [(3, 3), (2, 0)], [(2, 0), (2, 0)]])
+def test_reduced_rejects_bad_site_list(sites):
+    # a pinned, non-canonical or out-of-box site, unsorted or repeated sites
+    region = Region.box_minus(4, orbit((1, 1)))
+    with pytest.raises(ValueError, match="reduced sites"):
+        ReducedOperator(kernel_series(seed_series(1, 0.05), 1), -1.0, GOOD_LAM, region,
+                        np.array(sites))
+
+
+def test_reduced_solve_guards_the_coupled_set():
+    # for jtilde (1, 1) at N = 4 the coupled set is the one site (3, 3); a
+    # right-hand side on the even multiple (2, 2), inside the region, breaks
+    # the invariant that drove the choice of set and must not be dropped
+    jt = (1, 1)
+    region = Region.box_minus(4, orbit(jt))
+    red = ReducedOperator(kernel_series(seed_series(1, 0.05), 1), -1.0, GOOD_LAM, region,
+                          lattice.coupled_sites(jt, 4))
+    assert red.sites.tolist() == [[3, 3]]
+    with pytest.raises(AssertionError, match="off the reduced site list"):
+        red.solve_series(QPSeries.from_canonical(1, {(3, 3): 1.0, (2, 2): 1e-30}))
+    # sites outside the region, in the pinned orbit or beyond the box, are
+    # dropped silently
+    expected = red.solve_series(QPSeries.delta(1, 1.0, (3, 3)))
+    w = red.solve_series(QPSeries.from_canonical(1, {(1, 1): 2.0, (3, 3): 1.0, (5, 5): 3.0}))
+    assert w.sites.tolist() == [[3, 3]] and w.vals.tolist() == expected.vals.tolist()
 
 
 def test_newton_increment_solves_linearized_equation():
@@ -369,7 +399,7 @@ def test_reduced_solve_matches_dense_oracle():
     rng = np.random.default_rng(9)
     u = random_symmetric_series(1, rng, n_orbits=3, box_n=2, scale=0.05)
     region = Region.box_minus(5, orbit((1, 1)))
-    red = ReducedOperator(kernel_series(u, 1), -1.0, GOOD_LAM, region)
+    red = ReducedOperator(kernel_series(u, 1), -1.0, GOOD_LAM, region, canonical_sites(region, 1))
     rhs = random_symmetric_series(1, rng, n_orbits=4, box_n=4)
     w = red.solve_series(rhs)
     rhs_vec = np.array([rhs.get(tuple(map(int, s))) for s in red.sites])
@@ -392,7 +422,7 @@ def test_reduced_matrix_matches_definition(d, N, lam, jt, p):
     u = random_symmetric_series(d, rng, n_orbits=3 if d == 1 else 2, box_n=2, scale=0.1)
     u = u.add(QPSeries.delta(d, 0.05, (3, 1) if d == 1 else (2, 0, 0, 1)))
     region = Region.box_minus(N, orbit(jt))
-    red = ReducedOperator(kernel_series(u, p), -0.7, lam, region)
+    red = ReducedOperator(kernel_series(u, p), -0.7, lam, region, canonical_sites(region, d))
     assert red.kernel.support_radius() > N
     sites = [j for j in site_tuples(region, d) if is_canonical(j)]
     assert [tuple(map(int, s)) for s in red.sites] == sites

@@ -1,30 +1,35 @@
 """Property tests: the table-driven assembly and series solve against their
 entry-by-entry definitions, the array convolution and orbit expansion
 against the sequential loops they replaced, the series storage invariant
-after every series-producing layer, and the block-wise Green's profile
-against the dense all-pairs one, over random profiles, boxes and shifts."""
+after every series-producing layer, the block-wise Green's profile against
+the dense all-pairs one, and the Newton iterates and increments on the
+coupled set against the whole box, over random profiles, boxes, shifts and
+configurations."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     GOOD_LAM,
     GOOD_LAM_D2,
     assembly_oracle,
+    canonical_sites,
     dense_greens_profile,
+    odd_multiple,
     orbit_loop_from_canonical,
     profile_with_shells,
     site_tuples,
     sorted_loop_convolve,
 )
+from qpwave import solver
 from qpwave.lattice import Region, canonical, is_canonical, orbit, symbol
-from qpwave.linop import ReducedOperator, assemble, kernel_series
+from qpwave.linop import ReducedOperator, SingularOperator, assemble, kernel_series
 from qpwave.series import QPSeries, convolve, truncate
-from qpwave.solver import residual
+from qpwave.solver import DivergedIncrement, NotConverged, ProblemConfig, residual
 
 
 def _site(d, reach):
@@ -63,7 +68,7 @@ def test_table_assembly_and_series_solve_match_definition(inst):
     E = -1.0  # below the spectrum of the symbol, so the small-kernel solve is regular
 
     region = Region.box_minus(N, orbit(jtilde))
-    red = ReducedOperator(kernel_series(u, p), E, lam, region)
+    red = ReducedOperator(kernel_series(u, p), E, lam, region, canonical_sites(region, d))
     sites = [j for j in site_tuples(region, d) if is_canonical(j)]
     M_def = assembly_oracle(sites, [symbol(j, lam) - E for j in sites], red.kernel,
                             region.contains, rep=canonical,
@@ -200,7 +205,8 @@ def test_every_layer_keeps_the_storage_invariant(inst):
         convolve(A, B), convolve(A, A), A.add(B), A.add(A.scale(-1.0)),
         truncate(A, box, drop_tol),
         residual(A, c, lam, 1), residual(A, c, lam, 1, box=box),
-        ReducedOperator(kernel_series(u, 1), -1.0, lam, region).solve_series(B),
+        ReducedOperator(kernel_series(u, 1), -1.0, lam, region,
+                        canonical_sites(region, d)).solve_series(B),
     ]
     for S in produced:
         _assert_storage_invariant(S, d)
@@ -237,7 +243,7 @@ def _zero_theta_greens_example(d, N):
 @given(_greens_instances())
 @example(_zero_theta_greens_example(1, 12))
 @example(_zero_theta_greens_example(2, 2))
-def test_streamed_greens_profile_matches_dense_profile(inst):
+def test_block_greens_profile_matches_dense_profile(inst):
     d, u, theta, region = inst
     lam = GOOD_LAM if d == 1 else GOOD_LAM_D2
     T = assemble(u, -1.0, lam, theta, region, 1)
@@ -257,3 +263,73 @@ def test_streamed_greens_profile_matches_dense_profile(inst):
     assert (prof.decay is None) == (dense.decay is None)
     if prof.decay is not None:
         assert prof.decay.rate == pytest.approx(dense.decay.rate, rel=1e-12)
+
+
+@st.composite
+def _newton_configs(draw):
+    """A configuration with all seed blocks nonzero and random lambda, p and
+    a, on boxes small enough for the whole-box oracle: N_max 8 at d = 1 and
+    4 at d = 2, M = 2, at most 4 Newton steps.  At d = 2 the seed's entries
+    are at most 1, so that 3 * jtilde_k fits the last box."""
+    d = draw(st.sampled_from([1, 2]))
+    reach = 2 if d == 1 else 1
+    block = st.tuples(st.integers(-reach, reach), st.integers(-reach, reach)).filter(any)
+    return ProblemConfig(
+        d=d, p=draw(st.integers(1, 2)), a=draw(st.floats(1e-3, 0.1)),
+        jtilde=sum(draw(st.lists(block, min_size=d, max_size=d)), ()),
+        lam=draw(st.tuples(*[st.floats(0.51, 1.49)] * (2 * d))),
+        M=2, N_max=8 if d == 1 else 4, max_steps=4)
+
+
+def _assert_on_odd_multiples(u, jtilde):
+    """Block k of every site is an odd multiple of canonical(jtilde_k)."""
+    c = canonical(jtilde)
+    for j in map(tuple, u.sites.tolist()):
+        assert all(odd_multiple(j[k:k + 2], c[k:k + 2]) for k in range(0, len(j), 2)), j
+
+
+def _whole_box_increment(u, E, cfg, N):
+    """The Newton increment of the whole box-minus-orbit reduced system."""
+    region = Region.box_minus(N, cfg.resonant_set())
+    whole = ReducedOperator(kernel_series(u, cfg.p), E, cfg.lam, region,
+                            canonical_sites(region, cfg.d))
+    return whole.solve_series(residual(u, E, cfg.lam, cfg.p)).scale(-1.0)
+
+
+def _assert_same_increment(delta, oracle):
+    # the two solves share their arithmetic only up to SuperLU's ordering
+    # and the scaling floor; on this body's draws they agreed bit for bit
+    assert np.array_equal(delta.sites, oracle.sites)
+    scale = np.max(np.abs(oracle.vals), initial=0.0)
+    assert np.max(np.abs(delta.vals - oracle.vals), initial=0.0) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_newton_configs())
+def test_newton_iterates_and_increments_live_on_the_coupled_set(cfg):
+    # every iterate the solver forms, and its final one, lies on odd
+    # multiples of the seed's blocks; each increment is the whole box's
+    real, compared = solver.newton_step, []
+
+    def checked(u, E, cfg, N, chain=None):
+        _assert_on_odd_multiples(u, cfg.jtilde)
+        delta, resid = real(u, E, cfg, N, chain)
+        try:
+            oracle = _whole_box_increment(u, E, cfg, N)
+        except SingularOperator:
+            return delta, resid  # resonant off the coupled set: no oracle
+        _assert_same_increment(delta, oracle)
+        compared.append(N)
+        return delta, resid
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "newton_step", checked)
+        try:
+            rec = solver.solve(cfg, precheck=False)
+        except (NotConverged, DivergedIncrement) as exc:
+            rec = exc.record
+        except SingularOperator:
+            rec = None  # resonant on the coupled set
+    if rec is not None:
+        _assert_on_odd_multiples(rec.u, cfg.jtilde)
+    assume(compared)

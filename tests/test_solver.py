@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import GOOD_JT, GOOD_JT_D2, GOOD_LAM, GOOD_LAM_D2, brute_conv_power, count_convolutions, seed_series
-from qpwave import solver
+from qpwave import lattice, linop, solver
 from qpwave.lattice import Region, is_canonical, orbit, symbol
 from qpwave.series import QPSeries, evaluate
 from qpwave.solver import (
@@ -160,6 +160,24 @@ def test_newton_step_zero_at_fixed_point():
     assert delta.l2_norm() == 0.0
 
 
+@pytest.mark.parametrize("d,jtilde,a,lam", [(1, (1, 1), 0.05, GOOD_LAM),
+                                            (2, (1, 0, 0, 1), 0.02, D2_LAM),
+                                            (1, (0, 0), 0.2, GOOD_LAM)])
+def test_newton_step_on_empty_coupled_set(monkeypatch, d, jtilde, a, lam):
+    # at N = 2 no odd multiple 3 * jtilde_k fits the box (and a zero seed
+    # couples nothing), so the increment is zero and no matrix is built
+    def no_matrix(op):
+        raise AssertionError("matrix built for an empty coupled set")
+
+    monkeypatch.setattr(linop.ReducedOperator, "matrix", no_matrix)
+    cfg = ProblemConfig(d=d, p=1, a=a, jtilde=jtilde, lam=lam)
+    u0, _ = initial_guess(cfg)
+    delta, resid = newton_step(u0, q_update(u0, cfg), cfg, N=2)
+    assert delta.sites.shape == (0, 2 * d)
+    assert delta.l2_norm() == 0.0
+    assert (resid > 0.0) == any(jtilde)
+
+
 def test_newton_step_rejects_inconsistent_eigenvalue():
     cfg = good_cfg()
     u0, E0 = initial_guess(cfg)
@@ -291,6 +309,20 @@ def test_solve_d2_end_to_end():
     assert abs(rec.E - e_tilde + (0.75 ** 2) * cfg.a ** 2) <= 100 * cfg.a**4
     for s in orbit(GOOD_JT_D2):
         assert rec.u.get(s) == cfg.pin_value
+
+
+def test_solve_d3_default_never_enumerates_a_box(monkeypatch):
+    # the Newton steps enumerate only the coupled set, never a box (the
+    # box of scale N_max = 8 holds 17^6, about 24M sites)
+    def no_box(region, d):
+        raise AssertionError(f"box of scale {region.N} enumerated")
+
+    monkeypatch.setattr(lattice, "sites_array", no_box)
+    cfg = ProblemConfig(d=3, p=1, a=0.01, jtilde=(1, 0, 0, 1, 1, 0), lam=D3_LAM, M=2)
+    assert cfg.N_max == 8
+    rec = solve(cfg, precheck=False)
+    assert rec.accepted
+    assert rec.diagnostics["final_residual"] <= cfg.residual_tol
 
 
 def test_residual_monotone_under_box_growth():
