@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -381,6 +382,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache  # one tree per process: parse_args leaves it unchanged
 def build_parser() -> _Parser:
     ap = _Parser(prog="qpwave", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -44,22 +44,22 @@ listed site is.  ReducedOperator.solve_series reads its right-hand side's
 sites the same way; one inside the region but off the list raises, since
 dropping it would hide a broken invariant.
 
-Every linear solve is one SuperLU factorization of the diagonally scaled
-matrix plus at most four steps of iterative refinement; the residual
-contract is enforced on every return, and its violation, like an exactly
-singular factor, is the resonance signal SingularOperator.  The scaling
-floor (_scaling) and the contract's norm estimate are those of the matrix
+Every inverse reads T through its diagonal blocks: the connected
+components of its pattern (for every seed the solver accepts, the cosets of
+the seed's lattice), gathered as dense matrices and stacked by size.  A
+linear solve (a Newton step, solve_linear) is one batched LU solve per
+block size plus at most four steps of iterative refinement on the same
+blocks; the residual contract is enforced on every return, and its
+violation, like an exactly singular block, is the resonance signal
+SingularOperator.  The contract's norm estimate is that of the matrix
 solved: for a Newton step, the coupled matrix, so a Newton step raises
 SingularOperator only for a resonance on the coupled set.  The decoupled
-cosets are measured by the diagnostics below.
-
-The diagnostics read T through its diagonal blocks instead: the connected
-components of its pattern (for every seed the solver accepts, the cosets of
-the seed's lattice), gathered as dense symmetric matrices and stacked by
-size.  As T is symmetric, ||T^-1||_2 = 1 / min|eig T|, which inverse_norm
-takes over the blocks' eigvalsh spectra; greens_profile inverts the blocks
-and folds each one's entries into the per-distance maxima, so neither an
-n x n array nor a sparse factor is formed.
+cosets are measured by the diagnostics.  As T is symmetric, ||T^-1||_2 =
+1 / min|eig T|, which inverse_norm takes over the blocks' eigvalsh
+spectra; greens_profile inverts the blocks and folds each one's entries
+into the per-distance maxima, so neither an n x n array nor a sparse
+factor is formed.  The blocks are found on the sparse matrix, where every
+stored entry is an edge however small.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
 
 from . import lattice
 from .lattice import Frequency, Index, Region
@@ -83,9 +82,8 @@ SINGULAR_FLOOR = 1e-6
 _EPS = np.finfo(float).eps
 
 class SingularOperator(Exception):
-    """A factorization or block inverse found (numerical) rank deficiency,
-    or the solve could not reach its residual contract: a resonant
-    lambda/E."""
+    """A diagonal block is exactly singular or its inverse non-finite, or a
+    solve could not reach its residual contract: a resonant lambda/E."""
 
 
 def kernel_series(u: QPSeries, p: int) -> QPSeries:
@@ -225,39 +223,12 @@ def apply(T: LinearizedOperator, v: np.ndarray) -> np.ndarray:
     return T.matrix() @ v
 
 
-def _scaling(diag_of_matrix: np.ndarray) -> np.ndarray:
-    mags = np.abs(diag_of_matrix)
-    top = mags.max() if len(mags) else 1.0
-    floor = max(top * 1e-12, 1e-150)
-    return np.sqrt(np.maximum(mags, floor))
-
-
-def _factorize(M: sp.csc_matrix):
-    """b -> M^-1 b through the SuperLU factors of D^-1 M D^-1, where
-    D = _scaling(diag M).  An exactly singular factor raises
-    SingularOperator; near-singular ones surface as non-finite or
-    contract-violating solves, which the callers check."""
-    s = _scaling(M.diagonal())
-    S = sp.csc_matrix((M.data / (s[M.indices] * _by_column(M, s)), M.indices, M.indptr),
-                      shape=M.shape)
-    try:
-        lu = spla.splu(S)
-    except RuntimeError as exc:
-        raise SingularOperator(f"factorization failed: {exc}") from exc
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        sc = s.reshape((-1,) + (1,) * (b.ndim - 1))
-        return lu.solve(b / sc) / sc
-
-    return solve
-
-
 def _residual_contract(M_mul, w, rhs, tol, norm_est):
     """Relative residual, and the instance's floating-point floor.
 
     Raises SingularOperator when the floor itself is so large that the
     solution carries no significant digits: the hallmark of a resonant
-    instance that scaling made formally solvable.
+    instance whose blocks are nearly singular but still factorize.
     """
     r = rhs - M_mul(w)
     b_norm = float(np.linalg.norm(rhs))
@@ -274,21 +245,31 @@ def _residual_contract(M_mul, w, rhs, tol, norm_est):
     return r, rel, max(tol, floor)
 
 
-def _solve_scaled(M: sp.csc_matrix, rhs: np.ndarray, tol: float) -> np.ndarray:
-    """Factorize a diagonally scaled copy and iteratively refine.
+def _solve(M: sp.csc_matrix, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """Solve M w = rhs through M's diagonal blocks, and iteratively refine.
 
-    Raises SingularOperator when the factor is singular or the residual
-    contract (tol, or the floating-point floor of the instance if larger)
-    cannot be met.
+    The blocks are found once; each pass is one batched LU solve per block
+    size.  Raises SingularOperator when a block is exactly singular or the
+    residual contract (tol, or the floating-point floor of the instance if
+    larger) cannot be met.
     """
     if np.linalg.norm(rhs) == 0.0:
         return np.zeros(M.shape[0])
-    norm_est = float(abs(M).sum(axis=1).max())
-    solve_once = _factorize(M)
+    blocks = _diagonal_blocks(M)
+    norm_est = max(float(np.abs(A).sum(axis=2).max()) for _, A in blocks)
+
+    def solve_once(b: np.ndarray) -> np.ndarray:
+        x = np.empty_like(b)
+        for rows, A in blocks:
+            try:
+                x[rows] = np.linalg.solve(A, b[rows, None])[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise SingularOperator(f"singular block of {A.shape[1]} sites: {exc}") from exc
+        return x
 
     w = solve_once(rhs)
     if not np.all(np.isfinite(w)):
-        raise SingularOperator("factorization produced non-finite solution (zero pivot)")
+        raise SingularOperator("block solve produced a non-finite solution")
     r, rel, bound = _residual_contract(lambda x: M @ x, w, rhs, tol, norm_est)
     for _ in range(4):
         if rel <= bound:
@@ -314,33 +295,34 @@ def solve_linear(T: LinearizedOperator, rhs: np.ndarray, tol: float = 1e-13) -> 
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (T.n,):
         raise ValueError(f"rhs has shape {rhs.shape}, operator expects ({T.n},)")
-    return _solve_scaled(T.matrix(), rhs, tol)
+    return _solve(T.matrix(), rhs, tol)
 
 
-def _diagonal_blocks(M: sp.spmatrix) -> list[tuple[np.ndarray, np.ndarray]]:
+def _diagonal_blocks(M: sp.csc_matrix) -> list[tuple[np.ndarray, np.ndarray]]:
     """M's diagonal blocks, one per connected component of its pattern.
 
     Returns one (rows, blocks) pair per block size s, in increasing s: rows
     is (k, s), each block's row indices in increasing order, and blocks is
     the (k, s, s) stack of the dense submatrices M[rows[b]][:, rows[b]].
     Every stored entry of M lies in one block, so M is the direct sum of
-    the blocks.
+    the blocks.  M stays sparse: csgraph reads a dense array's entries with
+    |x| <= 1e-8 as absent, and Newton matrices couple through smaller ones.
     """
     _, labels = csgraph.connected_components(M, directed=False)
     size = np.bincount(labels)[labels]
     order = np.lexsort((labels, size))  # by block size, then block, then row
     block = np.empty(len(size), dtype=np.int64)
     pos = np.empty(len(size), dtype=np.int64)
-    C = M.tocoo()
+    row, col = M.indices, _by_column(M, np.arange(len(size)))
     out = []
     for s in np.unique(size):
         rows = order[size[order] == s].reshape(-1, s)
         block[rows] = np.arange(len(rows))[:, None]
         pos[rows] = np.arange(s)
-        hit = size[C.row] == s
-        r, c = C.row[hit], C.col[hit]
+        hit = size[row] == s
+        r, c = row[hit], col[hit]
         A = np.zeros((len(rows), s, s))
-        A[block[r], pos[r], pos[c]] = C.data[hit]
+        A[block[r], pos[r], pos[c]] = M.data[hit]
         out.append((rows, A))
     return out
 
@@ -352,8 +334,8 @@ def _block_inverse_norm(blocks) -> float:
     return 1.0 / smallest if smallest > 0.0 else math.inf
 
 
-def inverse_norm(M: sp.spmatrix) -> float:
-    """||M^-1||_2 = 1 / min|eig M| of a symmetric sparse matrix, from the
+def inverse_norm(M: sp.csc_matrix) -> float:
+    """||M^-1||_2 = 1 / min|eig M| of a symmetric CSC matrix, from the
     eigenvalues of its diagonal blocks; inf when M is exactly singular."""
     return _block_inverse_norm(_diagonal_blocks(M))
 
@@ -535,7 +517,7 @@ class ReducedOperator:
         if self.n == 0:
             return np.zeros(0)
         sq = np.sqrt(self.weights)
-        return _solve_scaled(self.matrix(), rhs_canonical * sq, tol) / sq
+        return _solve(self.matrix(), rhs_canonical * sq, tol) / sq
 
     def solve_series(self, rhs: QPSeries, tol: float = 1e-13) -> QPSeries:
         """Solve with a series right-hand side, returning a series.

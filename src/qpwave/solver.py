@@ -31,8 +31,8 @@ increment is exactly 0 on the others.  Consequences:
 * SingularOperator from a Newton step reports a resonance of the coupled
   matrix only; the decoupled cosets are still profiled by
   linop.greens_profile;
-* the solve's scaling floor and its residual contract's norm estimate are
-  those of the coupled matrix;
+* the solve's residual contract takes its norm estimate from the coupled
+  matrix;
 * the separation precheck (diagnostics.separation_margin) keeps its
   whole-box definition.
 """

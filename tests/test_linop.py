@@ -31,10 +31,11 @@ from qpwave.linop import (
     solve_linear,
 )
 from qpwave.series import QPSeries
-from qpwave.solver import ProblemConfig, solve
+from qpwave.solver import ProblemConfig, initial_guess, q_update, solve
 
 
 D2_LAM = (1.05, 0.723, 0.8, 1.31)
+D3_LAM = (1.05, 0.723, 0.8, 1.31, 1.21, 0.57)
 
 
 def test_assemble_zero_profile_is_diagonal():
@@ -221,18 +222,28 @@ def test_greens_profile_covariance_invariance():
     assert p1.decay.rate == pytest.approx(p2.decay.rate, rel=1e-6)
 
 
-def test_greens_profile_d2_matches_dense_profile():
-    # the operator a d = 2 sweep sample profiles: box minus the pinned orbit
-    # around a converged solution, n = 2397 sites in many small blocks
-    cfg = ProblemConfig(d=2, p=1, a=0.02, jtilde=GOOD_JT_D2, lam=GOOD_LAM_D2, M=2, N_max=4)
+@pytest.mark.parametrize("d", [2, 3], ids=["d2", "d3"])
+def test_greens_profile_matches_dense_profile(d):
+    # the operator a sweep sample profiles: box minus the pinned orbit
+    # around a converged solution, in many small blocks; d = 2 at N = 3
+    # (n = 2397) and the default d = 3 solution at N = 1 (n = 721), whose
+    # shells end at distance 2, too close for a decay fit
+    cfg, N, n = {
+        2: (ProblemConfig(d=2, p=1, a=0.02, jtilde=GOOD_JT_D2, lam=GOOD_LAM_D2, M=2, N_max=4),
+            3, 2397),
+        3: (ProblemConfig(d=3, p=1, a=0.01, jtilde=(1, 0, 0, 1, 1, 0), lam=D3_LAM, M=2), 1, 721),
+    }[d]
     rec = solve(cfg, precheck=False)
-    T = assemble(rec.u, rec.E, cfg.lam, None, Region.box_minus(3, orbit(GOOD_JT_D2)), cfg.p)
-    assert T.n == 2397
+    T = assemble(rec.u, rec.E, cfg.lam, None, Region.box_minus(N, orbit(cfg.jtilde)), cfg.p)
+    assert T.n == n
     prof, shells = profile_with_shells(T)
     dense, dense_shells = dense_greens_profile(T)
     expected = np.array([dense_shells[s] for s in range(len(dense_shells))])
     assert np.allclose(shells, expected, rtol=1e-13, atol=0.0)
     assert prof.op_norm_inverse == pytest.approx(dense.op_norm_inverse, rel=1e-12)
+    if d == 3:
+        assert prof.decay is None and dense.decay is None
+        return
     assert math.isfinite(prof.decay.rate) and prof.decay.rate > 0.0
     assert prof.decay.rate == pytest.approx(dense.decay.rate, rel=1e-12)
 
@@ -247,6 +258,55 @@ def test_greens_profile_finds_blocks_once(monkeypatch):
     prof = greens_profile(T)
     assert calls == [(T.n, T.n)]
     assert prof.op_norm_inverse == linop.inverse_norm(T.matrix())
+
+
+@pytest.mark.parametrize("kind", ["solve_linear", "reduced"])
+def test_every_solve_finds_blocks_once(kind, monkeypatch):
+    # a solve finds the blocks once and its refinement steps reuse them;
+    # the first block solve is perturbed, so one refinement step runs
+    u, E = seed_series(1, 0.05), symbol((1, 1), GOOD_LAM) - 0.6
+    if kind == "solve_linear":
+        T = assemble(u, E, GOOD_LAM, None, Region.full_box(4), p=1)
+        M, run = T.matrix(), lambda b: solve_linear(T, b)
+    else:
+        region = Region.box_minus(4, orbit((1, 1)))
+        red = ReducedOperator(kernel_series(u, 1), E, GOOD_LAM, region,
+                              canonical_sites(region, 1))
+        sq = np.sqrt(red.weights)
+        M, run = red.matrix(), lambda b: red.solve(b / sq) * sq
+    rhs = np.random.default_rng(3).standard_normal(M.shape[0])
+    expected = np.linalg.solve(M.toarray(), rhs)
+    calls, passes = [], []
+    real_blocks, real_solve = linop._diagonal_blocks, np.linalg.solve
+    monkeypatch.setattr(linop, "_diagonal_blocks", lambda M: calls.append(M.shape) or real_blocks(M))
+
+    def first_pass_off(A, b):
+        passes.append(A.shape)
+        x = real_solve(A, b)
+        return x * (1.0 + 1e-6) if len(passes) == 1 else x
+
+    monkeypatch.setattr(np.linalg, "solve", first_pass_off)
+    w = run(rhs)
+    assert calls == [M.shape]
+    assert len(passes) >= 2
+    assert np.allclose(w, expected, rtol=1e-10, atol=1e-14 * np.max(np.abs(expected)))
+
+
+def test_diagonal_blocks_keep_tiny_entries():
+    # the first-scale Newton matrix of d = 2, p = 2, a = 1e-3 couples its 3
+    # sites through entries near 5e-13; each is stored, so the 3 sites form
+    # one block (csgraph would drop them from a dense copy, |x| <= 1e-8)
+    cfg = ProblemConfig(d=2, p=2, a=1e-3, jtilde=GOOD_JT_D2, lam=GOOD_LAM_D2, M=3)
+    u, _ = initial_guess(cfg)
+    red = ReducedOperator(kernel_series(u, cfg.p), q_update(u, cfg), cfg.lam,
+                          Region.box_minus(3, cfg.resonant_set()),
+                          lattice.coupled_sites(cfg.jtilde, 3))
+    M = red.matrix()
+    off = M.toarray()[~np.eye(3, dtype=bool)]
+    assert np.all(off != 0.0) and np.max(np.abs(off)) < 1e-12
+    [(rows, A)] = linop._diagonal_blocks(M)
+    assert rows.tolist() == [[0, 1, 2]]
+    assert np.array_equal(A[0], M.toarray())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -276,6 +336,8 @@ def test_exactly_singular_block():
     assert len(at) == 1 and res.bad[at[0]] and res.inv_norms[at[0]] == math.inf
     with pytest.raises(SingularOperator):
         greens_profile(T)
+    with pytest.raises(SingularOperator, match="singular block"):
+        solve_linear(T, np.ones(T.n))
 
 
 def _reduced_action(red):

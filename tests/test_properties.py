@@ -297,8 +297,8 @@ def _whole_box_increment(u, E, cfg, N):
 
 
 def _assert_same_increment(delta, oracle):
-    # the two solves share their arithmetic only up to SuperLU's ordering
-    # and the scaling floor; on this body's draws they agreed bit for bit
+    # the two solves share their arithmetic only up to the LU's pivoting
+    # within each block; on this body's draws they agreed bit for bit
     assert np.array_equal(delta.sites, oracle.sites)
     scale = np.max(np.abs(oracle.vals), initial=0.0)
     assert np.max(np.abs(delta.vals - oracle.vals), initial=0.0) <= 1e-12 * scale
