@@ -15,6 +15,7 @@ from .series import DecayFit, InsufficientData, QPSeries, conv_power, convolve, 
 from .linop import (
     GreensProfile,
     LinearizedOperator,
+    OperatorTooLarge,
     ReducedOperator,
     SingularOperator,
     apply,

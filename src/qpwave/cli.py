@@ -6,7 +6,8 @@ atomic (temp file + rename); JSON floats use the shortest round-trip
 decimal, so storing a loaded canonical file reproduces it byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 domain rejection (resonant
-frequency, non-convergence, failed verification).
+frequency, non-convergence, failed verification, an operator over the
+memory budget).
 """
 
 from __future__ import annotations
@@ -460,7 +461,7 @@ def main(argv=None) -> int:
     except (CorruptFile, SchemaVersionMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (solver.SeparationFailure, solver.MixedDegenerateIndex) as exc:
+    except (solver.SeparationFailure, solver.MixedDegenerateIndex, linop.OperatorTooLarge) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
 

@@ -108,21 +108,21 @@ def theta_bad_fraction(u: QPSeries, E: float, lam: Frequency, N: int, axis: int,
     else:
         region = Region.box_minus(N, lattice.orbit(tuple(jtilde)))
     T0 = linop.assemble(u, E, lam, tuple(base_theta), region, p)
-    # theta moves only the diagonal: keep the blocks and reset their diagonals
-    M = T0.matrix()
-    kernel_diag = M.diagonal() - T0.diag
-    blocks = linop._diagonal_blocks(M)
+    # theta moves only the diagonal: keep the blocks and reset their
+    # diagonals to what assemble would build at each theta
+    blocks = T0.blocks()
+    k0 = T0.kernel.get((0,) * (2 * d))
 
     thetas = np.arange(-2.0, 2.0 + grid_step / 2, grid_step)
     inv_norms = np.empty(len(thetas))
     for i, t in enumerate(thetas):
         th = np.array(base_theta)
         th[axis - 1] = t
-        diag = kernel_diag + (lattice.symbol_array(T0.sites, lam, th) - E)
+        diag = (lattice.symbol_array(T0.sites, lam, th) - E) - k0
         for rows, A in blocks:
             at = np.arange(rows.shape[1])
             A[:, at, at] = diag[rows]
-        inv_norms[i] = linop._block_inverse_norm(blocks)
+        inv_norms[i] = linop.inverse_norm(blocks)
     bad = ~np.isfinite(inv_norms) | (inv_norms > norm_threshold)
     return ThetaSweepResult(
         axis=axis, grid_step=grid_step, grid_start=float(thetas[0]),
@@ -197,10 +197,9 @@ def _sweep_one(cfg: ProblemConfig, idx: int, lam_flat, sep_N: int,
         T = linop.assemble(rec.u, rec.E, lam, None, greens_region, cfg_s.p)
         prof = linop.greens_profile(T)
         beta = prof.decay.rate if prof.decay else None
-    except (linop.SingularOperator, MemoryError):
-        # a resonant profile box, or an operator too large to assemble or
-        # to gather into dense blocks (d=2 at the default --greens-n);
-        # anything else is a bug
+    except (linop.SingularOperator, linop.OperatorTooLarge):
+        # a resonant profile box, or blocks over the memory budget (d=2 at
+        # the default --greens-n); anything else is a bug
         pass
     return SampleResult(idx, lam, dio, sep, True, True, "accepted",
                         rec.diagnostics.get("final_residual"), beta)

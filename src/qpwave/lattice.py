@@ -17,6 +17,7 @@ coordinates, so the ball |j| <= N is exactly the cube [-N, N]^(2d).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +187,52 @@ def coupled_sites(jtilde: Index, N: int) -> np.ndarray:
     picks = np.meshgrid(*[np.arange(len(b)) for b in blocks], indexing="ij")
     sites = np.concatenate([b[i.ravel()] for b, i in zip(blocks, picks)], axis=1)
     return sites[np.any(sites != np.asarray(c, dtype=np.int64), axis=1)]
+
+
+def hermite_basis(vectors: np.ndarray) -> np.ndarray:
+    """Basis of the Z-span of integer rows, in row Hermite normal form: an
+    (r, k) int64 array, r the rank, whose rows' first nonzero entries (the
+    pivots) are positive and move right row by row, every entry above a
+    pivot in [0, pivot).  Exact integer row operations (Euclid's algorithm
+    on rows, then reduction above the pivots) keep the span."""
+    k = np.shape(vectors)[1]
+    rows: dict[int, list[int]] = {}  # pivot column -> basis row
+    for v in np.asarray(vectors).tolist():
+        for c in range(k):
+            b = rows.get(c, [0] * k)
+            while v[c]:
+                q = b[c] // v[c]
+                b, v = v, [x - q * y for x, y in zip(b, v)]
+            if b[c]:
+                rows[c] = b if b[c] > 0 else [-x for x in b]
+    basis = [rows[c] for c in sorted(rows)]
+    for j, c in enumerate(sorted(rows)):
+        for i in range(j):
+            q = basis[i][c] // basis[j][c]
+            basis[i] = [x - q * y for x, y in zip(basis[i], basis[j])]
+    return np.array(basis, dtype=np.int64).reshape(-1, k)
+
+
+def coset_labels(pts: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Label of each row's coset of the lattice spanned by basis
+    (hermite_basis), counting up in order of each coset's first row: each
+    row reduced to the representative with pivot coordinates in [0, pivot)."""
+    rep = np.array(pts, dtype=np.int64)
+    for row in basis:
+        c = np.flatnonzero(row)[0]
+        rep -= (rep[:, c] // row[c])[:, None] * row
+    _, first, inverse = np.unique(rep, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.ravel()]
+
+
+def coset_bound(basis: np.ndarray, width: int) -> int:
+    """Most sites one coset of the lattice spanned by basis (hermite_basis)
+    has in a cube of width sites per side: a coset's site is fixed by its
+    coordinates at the pivots, and once the earlier ones are fixed, the one
+    at a pivot h takes at most ceil(width / h) values."""
+    return math.prod(-(-width // int(row[row != 0][0])) for row in basis)
 
 
 def encode(pts: np.ndarray, bound: int) -> np.ndarray:

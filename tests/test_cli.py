@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import GOOD_JT, GOOD_LAM, count_convolutions
-from qpwave import cli
+from qpwave import cli, linop
 from qpwave.cli import CorruptFile, SchemaVersionMismatch, load_solution, store_solution
 from qpwave.solver import ProblemConfig, solve
 
@@ -269,6 +269,35 @@ def test_theta_sweep_command(tmp_path):
     lines = (out / "theta_sweep.csv").read_text().splitlines()
     assert lines[0] == "theta,inv_norm,bad"
     assert len(lines) == 18  # 17 grid points in [-2, 2] at step 0.25
+
+
+def test_greens_rejects_a_box_over_the_block_budget(tmp_path, capsys):
+    # the default d = 3 solution at N = 40 (81^6 sites) is a domain
+    # rejection, not an allocation: its kernel lives on a rank-3 lattice
+    # with pivots 2, so a block has up to 41^3 sites
+    run = tmp_path / "run"
+    assert cli.main(["solve", "--d", "3", "--M", "2", "--jtilde", "1,0,0,1,1,0",
+                     "--lambda", "1.05,0.723,0.8,1.31,1.21,0.57", "--force",
+                     "--out", str(run)]) == 0
+    capsys.readouterr()
+    code = cli.main(["greens", "--in", str(run / "solution.json"), "--N", "40",
+                     "--out", str(tmp_path / "greens")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected:") and "largest box scale that fits is N = 4" in err
+    assert not (tmp_path / "greens").exists()
+
+
+def test_theta_sweep_rejects_a_box_over_the_block_budget(tmp_path, capsys, monkeypatch):
+    run = tmp_path / "run"
+    assert cli.main(solve_args(run)) == 0
+    monkeypatch.setattr(linop, "BLOCK_BYTES_BUDGET", 2**10)
+    capsys.readouterr()
+    code = cli.main(["theta-sweep", "--in", str(run / "solution.json"), "--N", "6",
+                     "--out", str(tmp_path / "theta")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("rejected:")
+    assert not (tmp_path / "theta").exists()
 
 
 def test_bifurcation_command(tmp_path):

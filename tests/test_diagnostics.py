@@ -270,6 +270,16 @@ def test_lambda_sweep_singular_greens_profile_records_no_beta(monkeypatch):
     assert s.beta is None
 
 
+def test_lambda_sweep_records_no_beta_over_the_block_budget(monkeypatch):
+    # the profile box is rejected before it is enumerated; the solve, on
+    # the coupled set, is not affected
+    monkeypatch.setattr(linop, "BLOCK_BYTES_BUDGET", 2**10)
+    report = lambda_sweep(good_cfg(), n_samples=1, seed=0, lambdas=[GOOD_LAM], greens_N=4)
+    s = report.samples[0]
+    assert s.accepted and s.reason == "accepted"
+    assert s.beta is None
+
+
 def test_lambda_sweep_propagates_unexpected_greens_error(monkeypatch):
     with pytest.raises(RuntimeError, match="planted"):
         _planted_greens_failure(monkeypatch, RuntimeError("planted"))

@@ -188,3 +188,47 @@ def test_region_json_roundtrip_fields():
     assert doc["kind"] == "box_minus_s"
     assert doc["N"] == 3
     assert sorted(map(tuple, doc["S"])) == sorted(orbit((1, 1)))
+
+
+def _max_minor_gcd(vectors) -> int:
+    """gcd of the k x k minors of integer rows in Z^k: the index of their
+    span when it has full rank, 0 otherwise."""
+    g = 0
+    for rows in itertools.combinations(vectors, len(vectors[0])):
+        g = np.gcd(g, int(round(np.linalg.det(np.array(rows, dtype=float)))))
+    return int(g)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hermite_basis_spans_the_input(seed):
+    rng = np.random.default_rng(seed)
+    vectors = rng.integers(-6, 7, size=(5, 3))
+    basis = lattice.hermite_basis(vectors)
+    # row Hermite normal form
+    pivots = [int(np.flatnonzero(row)[0]) for row in basis]
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert basis[i, c] > 0 and np.all(basis[:i, c] >= 0) and np.all(basis[:i, c] < basis[i, c])
+    # the same lattice: every input is in the basis's span, and the index
+    # (product of pivots) is the inputs' gcd of maximal minors
+    labels = lattice.coset_labels(np.vstack([np.zeros((1, 3), dtype=np.int64), vectors]), basis)
+    assert np.all(labels == 0)
+    if len(basis) == 3:
+        assert int(np.prod(np.diag(basis))) == _max_minor_gcd(vectors.tolist())
+
+
+def test_coset_labels_and_bound_on_a_box():
+    # (2, 0), (1, 3) and (0, 6) span the lattice of (x, y) with 6 | y - 3x
+    basis = lattice.hermite_basis(np.array([[2, 0], [1, 3], [0, 6]]))
+    assert basis.tolist() == [[1, 3], [0, 6]]
+    pts = lattice.sites_array(Region.full_box(3), 1)
+    labels = lattice.coset_labels(pts, basis)
+    for i in range(len(pts)):
+        diff = pts - pts[i]
+        assert np.array_equal(labels == labels[i], (diff[:, 1] - 3 * diff[:, 0]) % 6 == 0)
+    # labels count up in order of each coset's first row
+    first = np.unique(labels, return_index=True)[1]
+    assert np.all(np.diff(first) > 0)
+    # 7 columns, and at most 2 rows of each column in one residue class mod 6
+    assert lattice.coset_bound(basis, 7) == 14
+    assert np.bincount(labels).max() <= 14

@@ -21,6 +21,7 @@ from qpwave import lattice, linop
 from qpwave.diagnostics import theta_bad_fraction
 from qpwave.lattice import Region, canonical, is_canonical, orbit, symbol
 from qpwave.linop import (
+    LinearizedOperator,
     ReducedOperator,
     SingularOperator,
     apply,
@@ -251,13 +252,13 @@ def test_greens_profile_matches_dense_profile(d):
 def test_greens_profile_finds_blocks_once(monkeypatch):
     # the blocks are found once per profile, and its norm is inverse_norm's
     calls = []
-    real = linop._diagonal_blocks
-    monkeypatch.setattr(linop, "_diagonal_blocks", lambda M: calls.append(M.shape) or real(M))
+    real = LinearizedOperator.blocks
+    monkeypatch.setattr(LinearizedOperator, "blocks", lambda T: calls.append((T.n, T.n)) or real(T))
     u = seed_series(1, 0.05)
     T = assemble(u, symbol((1, 1), GOOD_LAM) - 0.6, GOOD_LAM, None, Region.full_box(4), p=1)
     prof = greens_profile(T)
     assert calls == [(T.n, T.n)]
-    assert prof.op_norm_inverse == linop.inverse_norm(T.matrix())
+    assert prof.op_norm_inverse == linop.inverse_norm(real(T))
 
 
 @pytest.mark.parametrize("kind", ["solve_linear", "reduced"])
@@ -267,18 +268,18 @@ def test_every_solve_finds_blocks_once(kind, monkeypatch):
     u, E = seed_series(1, 0.05), symbol((1, 1), GOOD_LAM) - 0.6
     if kind == "solve_linear":
         T = assemble(u, E, GOOD_LAM, None, Region.full_box(4), p=1)
-        M, run = T.matrix(), lambda b: solve_linear(T, b)
+        op, M, run = T, T.to_dense(), lambda b: solve_linear(T, b)
     else:
         region = Region.box_minus(4, orbit((1, 1)))
         red = ReducedOperator(kernel_series(u, 1), E, GOOD_LAM, region,
                               canonical_sites(region, 1))
         sq = np.sqrt(red.weights)
-        M, run = red.matrix(), lambda b: red.solve(b / sq) * sq
+        op, M, run = red, red.matrix(), lambda b: red.solve(b / sq) * sq
     rhs = np.random.default_rng(3).standard_normal(M.shape[0])
-    expected = np.linalg.solve(M.toarray(), rhs)
+    expected = np.linalg.solve(M, rhs)
     calls, passes = [], []
-    real_blocks, real_solve = linop._diagonal_blocks, np.linalg.solve
-    monkeypatch.setattr(linop, "_diagonal_blocks", lambda M: calls.append(M.shape) or real_blocks(M))
+    real_blocks, real_solve = type(op).blocks, np.linalg.solve
+    monkeypatch.setattr(type(op), "blocks", lambda o: calls.append((o.n, o.n)) or real_blocks(o))
 
     def first_pass_off(A, b):
         passes.append(A.shape)
@@ -302,11 +303,57 @@ def test_diagonal_blocks_keep_tiny_entries():
                           Region.box_minus(3, cfg.resonant_set()),
                           lattice.coupled_sites(cfg.jtilde, 3))
     M = red.matrix()
-    off = M.toarray()[~np.eye(3, dtype=bool)]
+    off = M[~np.eye(3, dtype=bool)]
     assert np.all(off != 0.0) and np.max(np.abs(off)) < 1e-12
-    [(rows, A)] = linop._diagonal_blocks(M)
+    [(rows, A)] = red.blocks()
     assert rows.tolist() == [[0, 1, 2]]
-    assert np.array_equal(A[0], M.toarray())
+    assert np.array_equal(A[0], M)
+
+
+@pytest.mark.parametrize("case", ["survey-d1", "theta-d1", "construct-d2"])
+def test_coset_blocks_are_the_connected_components(case):
+    # the blocks of the operators the benchmark workloads profile are the
+    # connected components of the pattern built entry by entry from the
+    # definition; a coarser partition would stay exact but cube the blocks'
+    # LU cost
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    d1 = ProblemConfig(d=1, p=1, a=0.01, jtilde=(1, 1), lam=GOOD_LAM)
+    d2 = ProblemConfig(d=2, p=1, a=0.02, jtilde=GOOD_JT_D2, lam=GOOD_LAM_D2, M=2)
+    cfg, N = {"survey-d1": (d1, 16), "theta-d1": (d1, 12), "construct-d2": (d2, 4)}[case]
+    rec = solve(cfg, precheck=False)
+    T = assemble(rec.u, rec.E, cfg.lam, None, Region.box_minus(N, orbit(cfg.jtilde)), cfg.p)
+    index = T.site_index()
+    pattern = [(i, index[src]) for i, s in enumerate(map(tuple, T.sites.tolist()))
+               for off in T.kernel.coeffs
+               if (src := tuple(a - b for a, b in zip(s, off))) in index]
+    rows, cols = np.array(pattern).T
+    _, components = connected_components(
+        coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(T.n, T.n)), directed=False)
+    labels = np.empty(T.n, dtype=np.int64)
+    start = 0
+    for block_rows, _ in T.blocks():
+        labels[block_rows] = start + np.arange(len(block_rows))[:, None]
+        start += len(block_rows)
+    pairs = set(zip(labels.tolist(), components.tolist()))
+    assert len(pairs) == start == components.max() + 1
+
+
+def test_assemble_rejects_blocks_over_the_budget(monkeypatch):
+    # the seed's kernel lives on Z(2, 2), so on the box of scale 6 minus
+    # orbit((1, 1)) each of the 167 sites lies in a block of at most
+    # ceil(13 / 2) = 7 sites; the bound is reached before any enumeration
+    u, region = seed_series(1, 0.05), Region.box_minus(6, orbit((1, 1)))
+    monkeypatch.setattr(linop, "BLOCK_BYTES_BUDGET", 8 * 167 * 7)
+    assert assemble(u, -1.0, GOOD_LAM, None, region, p=1).n == 167
+    monkeypatch.setattr(linop, "BLOCK_BYTES_BUDGET", 8 * 167 * 7 - 1)
+    monkeypatch.setattr(lattice, "sites_array", lambda region, d: pytest.fail("enumerated"))
+    with pytest.raises(linop.OperatorTooLarge, match="largest box scale that fits is N = 5"):
+        assemble(u, -1.0, GOOD_LAM, None, region, p=1)
+    monkeypatch.setattr(linop, "BLOCK_BYTES_BUDGET", 8)
+    with pytest.raises(linop.OperatorTooLarge, match="no box scale fits"):
+        assemble(u, -1.0, GOOD_LAM, None, region, p=1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -330,7 +377,7 @@ def test_exactly_singular_block():
     # (0 + 0.5)^2 - 0.25 is exactly 0
     u, E, region = QPSeries.zero(1), 0.25, Region.full_box(2)
     T = assemble(u, E, GOOD_LAM, (0.5,), region, p=1)
-    assert linop.inverse_norm(T.matrix()) == math.inf
+    assert linop.inverse_norm(T.blocks()) == math.inf
     res = theta_bad_fraction(u, E, GOOD_LAM, N=2, axis=1, grid_step=0.25, norm_threshold=1e6)
     at = np.flatnonzero(res.thetas == 0.5)
     assert len(at) == 1 and res.bad[at[0]] and res.inv_norms[at[0]] == math.inf
@@ -343,8 +390,6 @@ def test_exactly_singular_block():
 def _reduced_action(red):
     """Dense action of the reduced operator in canonical (unweighted) coords."""
     M = red.matrix()
-    if not isinstance(M, np.ndarray):
-        M = M.toarray()
     sq = np.sqrt(red.weights)
     return (M / sq[:, None]) * sq[None, :]
 
@@ -473,7 +518,7 @@ def test_reduced_solve_matches_dense_oracle():
 
 
 def _assert_matches_oracle(M, M_def):
-    assert np.max(np.abs(M.toarray() - M_def)) <= 1e-15 * np.max(np.abs(M_def))
+    assert np.max(np.abs(M - M_def)) <= 1e-15 * np.max(np.abs(M_def))
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -506,4 +551,4 @@ def test_linearized_matrix_matches_definition_translated_list(d, lam, j0):
     members = set(sites)
     M_def = assembly_oracle(sites, [theta_symbol(j, lam, theta) - 1.1 for j in sites],
                             T.kernel, members.__contains__)
-    _assert_matches_oracle(T.matrix(), M_def)
+    _assert_matches_oracle(T.to_dense(), M_def)

@@ -1,16 +1,17 @@
-"""Property tests: the table-driven assembly and series solve against their
+"""Property tests: the block assembly and series solve against their
 entry-by-entry definitions, the array convolution and orbit expansion
 against the sequential loops they replaced, the series storage invariant
 after every series-producing layer, the block-wise Green's profile against
 the dense all-pairs one, and the Newton iterates and increments on the
 coupled set against the whole box, over random profiles, boxes, shifts and
-configurations."""
+configurations.  Each test draws from a fixed seed, with no example database,
+so an edit to a test's body leaves its examples unchanged."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -60,7 +61,8 @@ def _instances(draw):
     return d, N, p, u, jtilde, j0, rhs
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@seed(0)
+@settings(max_examples=50, deadline=None, database=None)
 @given(_instances())
 def test_table_assembly_and_series_solve_match_definition(inst):
     d, N, p, u, jtilde, j0, rhs = inst
@@ -73,7 +75,7 @@ def test_table_assembly_and_series_solve_match_definition(inst):
     M_def = assembly_oracle(sites, [symbol(j, lam) - E for j in sites], red.kernel,
                             region.contains, rep=canonical,
                             weights=[len(orbit(j)) for j in sites])
-    M = red.matrix().toarray()
+    M = red.matrix()
     assert np.max(np.abs(M - M_def)) <= 1e-15 * np.max(np.abs(M_def))
 
     # solve_series reads exactly what a per-site rhs.get loop reads
@@ -122,7 +124,8 @@ def _cancelling_pair():
     return A, B
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@seed(0)
+@settings(max_examples=200, deadline=None, database=None)
 @given(_factor_pairs())
 @example(_cancelling_pair())
 def test_convolve_matches_sorted_loop_bit_for_bit(pair):
@@ -138,7 +141,8 @@ def test_convolve_drops_exact_cancellations():
     assert C.coeffs == {(0, 0): -1.0, (2, 0): -1.0, (-2, 0): -1.0}
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@seed(0)
+@settings(max_examples=100, deadline=None, database=None)
 @given(st.sampled_from([1, 2, 3]).flatmap(lambda d: st.tuples(st.just(d), _canon(d, 8))))
 def test_from_canonical_matches_orbit_loop(inst):
     d, canon = inst
@@ -188,7 +192,8 @@ def _empty_inputs(d):
     return d, {}, {}, 2.0, 1, 0.0, (0,) * (2 * d)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@seed(0)
+@settings(max_examples=100, deadline=None, database=None)
 @given(_layer_inputs())
 @example(_empty_inputs(1))
 @example(_empty_inputs(2))
@@ -239,7 +244,8 @@ def _zero_theta_greens_example(d, N):
     return d, u, (0.0,) * d, Region.box_minus(N, orbit((1,) * (2 * d)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@seed(0)
+@settings(max_examples=60, deadline=None, database=None)
 @given(_greens_instances())
 @example(_zero_theta_greens_example(1, 12))
 @example(_zero_theta_greens_example(2, 2))
@@ -256,8 +262,9 @@ def test_block_greens_profile_matches_dense_profile(inst):
     assert np.allclose(shells, expected, rtol=1e-13, atol=0.0)
     # a backward-stable eigvalsh is off by about eps ||T|| in min|eig T|, so
     # the norm's relative error grows with the condition number kappa; the
-    # block norms were within 2.2 eps kappa of the refined dense one
-    kappa = abs(T.matrix()).sum(axis=0).max() * dense.op_norm_inverse
+    # block norms were within 1.8 eps kappa of the refined dense one on the
+    # seeded draws
+    kappa = abs(T.to_dense()).sum(axis=0).max() * dense.op_norm_inverse
     rel = max(1e-12, 8 * np.finfo(float).eps * kappa)
     assert prof.op_norm_inverse == pytest.approx(dense.op_norm_inverse, rel=rel)
     assert (prof.decay is None) == (dense.decay is None)
@@ -297,14 +304,16 @@ def _whole_box_increment(u, E, cfg, N):
 
 
 def _assert_same_increment(delta, oracle):
-    # the two solves share their arithmetic only up to the LU's pivoting
-    # within each block; on this body's draws they agreed bit for bit
+    # the coupled block's LU and the whole box's dense LU round apart; on
+    # the seeded draws 160 of the 176 increments agreed bit for bit and the
+    # rest within 2.5e-16 of the largest entry
     assert np.array_equal(delta.sites, oracle.sites)
     scale = np.max(np.abs(oracle.vals), initial=0.0)
     assert np.max(np.abs(delta.vals - oracle.vals), initial=0.0) <= 1e-12 * scale
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@seed(0)
+@settings(max_examples=60, deadline=None, database=None)
 @given(_newton_configs())
 def test_newton_iterates_and_increments_live_on_the_coupled_set(cfg):
     # every iterate the solver forms, and its final one, lies on odd
