@@ -6,8 +6,9 @@ atomic (temp file + rename); JSON floats use the shortest round-trip
 decimal, so storing a loaded canonical file reproduces it byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 domain rejection (resonant
-frequency, non-convergence, failed verification, an operator over the
-memory budget).
+frequency, non-convergence, an unstable step, failed verification, a box
+over the memory budget).  main alone maps the library's typed rejections
+to exit 2.
 """
 
 from __future__ import annotations
@@ -130,6 +131,14 @@ def store_trace_csv(rec: SolutionRecord, path: str):
                 for s in rec.trace.steps])
 
 
+def _store_summary(path: str, result, cfg: ProblemConfig, **extra) -> dict:
+    """Write result's JSON summary, then the effective configuration, then
+    extra keys; returns the document."""
+    doc = {**result.to_json_dict(), "effective_config": cfg.to_json_dict(), **extra}
+    _atomic_write(path, _dump_json(doc))
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 
@@ -221,17 +230,11 @@ def _cmd_solve(args) -> int:
     cfg = _build_config(args)
     try:
         rec = solver.solve(cfg, precheck=not args.force)
-    except solver.SeparationFailure as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return 2
     except (solver.NotConverged, solver.DivergedIncrement) as exc:
+        # keep the partial record; main reports the rejection
         store_solution(exc.record, os.path.join(args.out, "solution.json"))
         store_trace_csv(exc.record, os.path.join(args.out, "trace.csv"))
-        print(f"rejected: {exc}", file=sys.stderr)
-        return 2
-    except linop.SingularOperator as exc:
-        print(f"rejected: singular linearized operator ({exc})", file=sys.stderr)
-        return 2
+        raise
     store_solution(rec, os.path.join(args.out, "solution.json"))
     store_trace_csv(rec, os.path.join(args.out, "trace.csv"))
     print(f"accepted: E={rec.E!r} residual={rec.diagnostics['final_residual']:.3e} "
@@ -267,14 +270,8 @@ def _cmd_greens(args) -> int:
 
     region = Region.box_minus(args.N, orbit(rec.config.jtilde))
     T = linop.assemble(rec.u, rec.E, rec.config.lam, theta, region, rec.config.p)
-    try:
-        prof = linop.greens_profile(T)
-    except linop.SingularOperator as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return 2
-    doc = prof.to_json_dict()
-    doc["effective_config"] = rec.config.to_json_dict()
-    _atomic_write(os.path.join(args.out, "greens.json"), _dump_json(doc))
+    prof = linop.greens_profile(T)
+    doc = _store_summary(os.path.join(args.out, "greens.json"), prof, rec.config)
     print(f"op_norm_inverse={prof.op_norm_inverse!r} beta={doc['beta']!r} "
           f"fit_rms={doc['fit_rms']!r}")
     return 0
@@ -293,9 +290,7 @@ def _cmd_theta_sweep(args) -> int:
     res = diagnostics.theta_bad_fraction(rec.u, rec.E, rec.config.lam, args.N,
                                          args.axis, args.grid_step, threshold,
                                          p=rec.config.p, jtilde=rec.config.jtilde)
-    doc = res.to_json_dict()
-    doc["effective_config"] = rec.config.to_json_dict()
-    _atomic_write(os.path.join(args.out, "theta_sweep.json"), _dump_json(doc))
+    _store_summary(os.path.join(args.out, "theta_sweep.json"), res, rec.config)
     _write_csv(os.path.join(args.out, "theta_sweep.csv"),
                ["theta", "inv_norm", "bad"],
                [(float(t), float(v), bool(b))
@@ -306,15 +301,8 @@ def _cmd_theta_sweep(args) -> int:
 
 def _cmd_bifurcation(args) -> int:
     cfg = _build_config(args)
-    try:
-        scan = diagnostics.bifurcation_scan(cfg, args.a_values)
-    except (solver.NotConverged, solver.DivergedIncrement, solver.SeparationFailure,
-            linop.SingularOperator) as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return 2
-    doc = scan.to_json_dict()
-    doc["effective_config"] = cfg.to_json_dict()
-    _atomic_write(os.path.join(args.out, "bifurcation.json"), _dump_json(doc))
+    scan = diagnostics.bifurcation_scan(cfg, args.a_values)
+    _store_summary(os.path.join(args.out, "bifurcation.json"), scan, cfg)
     _write_csv(os.path.join(args.out, "bifurcation.csv"),
                ["a", "e_shift", "u_shift"],
                list(zip(scan.a_values, scan.e_shifts, scan.u_shifts)))
@@ -329,18 +317,9 @@ def _cmd_evolve(args) -> int:
         return 2
     box = Region.full_box(args.N if args.N is not None else rec.config.N_max)
     C0 = dynamics.ComplexSeries.from_profile(rec.u)
-    try:
-        res = dynamics.evolve(C0, rec.config.lam, rec.config.p, args.T, args.dt, box,
-                              checkpoint_every=args.checkpoint_every,
-                              phase_reference=rec.E)
-    except dynamics.StepUnstable as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return 2
-    doc = res.to_json_dict()
-    doc["effective_config"] = rec.config.to_json_dict()
-    doc["T"] = args.T
-    doc["dt"] = args.dt
-    _atomic_write(os.path.join(args.out, "evolve.json"), _dump_json(doc))
+    res = dynamics.evolve(C0, rec.config.lam, rec.config.p, args.T, args.dt, box,
+                          checkpoint_every=args.checkpoint_every, phase_reference=rec.E)
+    _store_summary(os.path.join(args.out, "evolve.json"), res, rec.config, T=args.T, dt=args.dt)
     mass0 = res.mass[0] if len(res.mass) else 1.0
     _write_csv(os.path.join(args.out, "trajectory.csv"),
                ["t", "deviation", "mass_drift", "out_of_box_mass"],
@@ -461,7 +440,10 @@ def main(argv=None) -> int:
     except (CorruptFile, SchemaVersionMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (solver.SeparationFailure, solver.MixedDegenerateIndex, linop.OperatorTooLarge) as exc:
+    except (solver.SeparationFailure, solver.MixedDegenerateIndex, solver.NotConverged,
+            solver.DivergedIncrement, linop.SingularOperator, linop.OperatorTooLarge,
+            dynamics.StepUnstable) as exc:
+        # the one place a typed domain rejection becomes exit 2
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
 

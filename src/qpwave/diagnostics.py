@@ -29,11 +29,14 @@ GREENS_SCALE = 16
 
 def separation_margin(lam: Frequency, jtilde: Index, N: int, a: float, p: int):
     """Minimum of |symbol(j) - symbol(jtilde)| over the box minus the
-    resonant orbit, and whether it clears the 2 a^(p/2) threshold."""
+    resonant orbit, and whether it clears the 2 a^(p/2) threshold.  Raises
+    OperatorTooLarge, before any site is enumerated, when the box's site
+    list may outgrow linop.BLOCK_BYTES_BUDGET."""
     if N < 1:
         raise ValueError("N must be >= 1")
     d = len(jtilde) // 2
     region = Region.box_minus(N, lattice.orbit(jtilde))
+    linop.check_box_bytes(lambda n: 16 * d * (2 * n + 1) ** (2 * d), N, "the site list")
     pts = lattice.sites_array(region, d)
     values = lattice.symbol_array(pts, lam)
     margin = float(np.min(np.abs(values - lattice.symbol(jtilde, lam))))
@@ -86,9 +89,9 @@ class ThetaSweepResult:
 
 def theta_bad_fraction(u: QPSeries, E: float, lam: Frequency, N: int, axis: int,
                        grid_step: float, norm_threshold: float,
-                       theta_fixed=None, p: int = 1, jtilde=None) -> ThetaSweepResult:
+                       p: int = 1, jtilde=None) -> ThetaSweepResult:
     """Sweep one shift component over [-2, 2] (one covariance cell, with
-    room) holding the others fixed, and measure the bad fraction.
+    room) holding the others at 0, and measure the bad fraction.
 
     When jtilde is given, the operator is restricted to the box minus the
     pinned orbit (the space the Newton solves actually act on, where the
@@ -102,12 +105,11 @@ def theta_bad_fraction(u: QPSeries, E: float, lam: Frequency, N: int, axis: int,
         raise ValueError(f"grid_step must be positive and finite, got {grid_step!r}")
     if not norm_threshold > 0:
         raise ValueError(f"norm_threshold must be positive, got {norm_threshold!r}")
-    base_theta = list(theta_fixed) if theta_fixed is not None else [0.0] * d
     if jtilde is None:
         region = Region.full_box(N)
     else:
         region = Region.box_minus(N, lattice.orbit(tuple(jtilde)))
-    T0 = linop.assemble(u, E, lam, tuple(base_theta), region, p)
+    T0 = linop.assemble(u, E, lam, None, region, p)
     # theta moves only the diagonal: keep the blocks and reset their
     # diagonals to what assemble would build at each theta
     blocks = T0.blocks()
@@ -116,7 +118,7 @@ def theta_bad_fraction(u: QPSeries, E: float, lam: Frequency, N: int, axis: int,
     thetas = np.arange(-2.0, 2.0 + grid_step / 2, grid_step)
     inv_norms = np.empty(len(thetas))
     for i, t in enumerate(thetas):
-        th = np.array(base_theta)
+        th = np.zeros(d)
         th[axis - 1] = t
         diag = (lattice.symbol_array(T0.sites, lam, th) - E) - k0
         for rows, A in blocks:

@@ -35,10 +35,12 @@ import scipy.fft
 
 from . import lattice
 from .lattice import Frequency, Index, Region
+from .linop import OperatorTooLarge
 from .series import QPSeries
 from .solver import SolutionRecord
 
-# Dense-grid guard: (2N+1)^(2d) entries per state array.
+# Dense-grid guard: (2N+1)^(2d) entries per state array; a larger grid is
+# a domain rejection (linop.OperatorTooLarge), like an oversized operator.
 MAX_GRID_SIZE = 1 << 23
 
 
@@ -96,10 +98,12 @@ class ComplexSeries:
         return worst
 
     def to_grid(self, N: int) -> np.ndarray:
-        """Dense complex array over [-N, N]^(2d), index j at position j + N."""
+        """Dense complex array over [-N, N]^(2d), index j at position j + N;
+        OperatorTooLarge above MAX_GRID_SIZE entries."""
         shape = (2 * N + 1,) * (2 * self.d)
         if np.prod(shape) > MAX_GRID_SIZE:
-            raise ValueError(f"grid of shape {shape} exceeds the dense-evolution guard")
+            raise OperatorTooLarge(f"grid of shape {shape} exceeds the dense-evolution guard "
+                                   f"of {MAX_GRID_SIZE} entries")
         g = np.zeros(shape, dtype=complex)
         for j, v in self.coeffs.items():
             if lattice.linf(j) <= N:

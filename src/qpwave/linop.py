@@ -51,15 +51,19 @@ from .series import DecayFit, InsufficientData, QPSeries, conv_power, fit_shell_
 # significant digits left; treat it as resonance.
 SINGULAR_FLOOR = 1e-6
 
-# Most bytes an operator's dense diagonal blocks may take.  A Green's
-# profile holds, besides, one block size's inverses and pair distances.
+# Most bytes the arrays sized by a box may take: an operator's dense
+# diagonal blocks, or the separation margin's site list (check_box_bytes).
+# A Green's profile holds, besides the blocks, one block size's inverses
+# and pair distances, so it still peaks near twice the blocks' bytes.
 BLOCK_BYTES_BUDGET = 2**29
 
 _EPS = np.finfo(float).eps
 
 
 class OperatorTooLarge(Exception):
-    """An operator's diagonal blocks may outgrow BLOCK_BYTES_BUDGET."""
+    """A box is too large for memory: an operator's diagonal blocks or a
+    site list may outgrow BLOCK_BYTES_BUDGET, or an evolution grid exceeds
+    dynamics.MAX_GRID_SIZE."""
 
 
 class SingularOperator(Exception):
@@ -106,14 +110,16 @@ class _SiteLookup:
         return i[hit], rows[hit]
 
 
-def _coset_blocks(sites: np.ndarray, diag: np.ndarray, kernel: QPSeries) -> list:
-    """One dense block per coset of the kernel's support lattice: one (rows,
-    stack) pair per block size s, in increasing s, rows (k, s) holding each
-    block's rows in increasing order (blocks ordered by first row) and stack
-    the (k, s, s) blocks, views of one buffer.  An offset is a lattice
-    vector, so a site's source site - offset lies in its own block."""
+def _coset_blocks(sites: np.ndarray, diag: np.ndarray, kernel: QPSeries,
+                  basis: np.ndarray) -> list:
+    """One dense block per coset of the kernel's support lattice, whose
+    lattice.hermite_basis is basis: one (rows, stack) pair per block size
+    s, in increasing s, rows (k, s) holding each block's rows in increasing
+    order (blocks ordered by first row) and stack the (k, s, s) blocks,
+    views of one buffer.  An offset is a lattice vector, so a site's source
+    site - offset lies in its own block."""
     offsets, kvals = kernel.orbit_members()
-    labels = lattice.coset_labels(sites, lattice.hermite_basis(offsets))
+    labels = lattice.coset_labels(sites, basis)
     size = np.bincount(labels)[labels]
     order = np.lexsort((labels, size))  # by block size, then block, then row
     buf = np.zeros(int(size.sum()))
@@ -145,10 +151,11 @@ def _apply_blocks(blocks, x: np.ndarray) -> np.ndarray:
 class LinearizedOperator:
     """Full realization on an explicit, lexicographically ordered site list."""
 
-    def __init__(self, sites, diag, kernel, region=None):
+    def __init__(self, sites, diag, kernel, basis, region=None):
         self.sites = sites              # (n, 2d) int64, lex sorted
         self.diag = diag                # (n,) float
         self.kernel = kernel            # QPSeries
+        self.basis = basis              # hermite_basis of the kernel's support
         self.region = region            # Region when built from one, else None
         self._blocks = None
 
@@ -162,7 +169,7 @@ class LinearizedOperator:
     def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The diagonal blocks (_coset_blocks), built on first use."""
         if self._blocks is None:
-            self._blocks = _coset_blocks(self.sites, self.diag, self.kernel)
+            self._blocks = _coset_blocks(self.sites, self.diag, self.kernel, self.basis)
         return self._blocks
 
     def to_dense(self) -> np.ndarray:
@@ -173,29 +180,26 @@ class LinearizedOperator:
         return M
 
 
-def _check_block_bytes(region: Region, d: int, kernel: QPSeries):
+def check_box_bytes(need, N: int, what: str):
     """Raise OperatorTooLarge, naming the largest box scale that fits, when
-    the blocks on the region may outgrow BLOCK_BYTES_BUDGET: each of the n
-    sites lies in a block of at most lattice.coset_bound sites."""
-    basis = lattice.hermite_basis(kernel.orbit_members()[0])
-
-    def need(N):
-        n = (2 * N + 1) ** (2 * d) - sum(lattice.linf(s) <= N for s in region.S)
-        return 8 * n * min(n, lattice.coset_bound(basis, 2 * N + 1))
-
-    if need(region.N) > BLOCK_BYTES_BUDGET:
-        fits = next((N for N in range(region.N - 1, 0, -1) if need(N) <= BLOCK_BYTES_BUDGET), None)
+    what on the box of scale N may need more than BLOCK_BYTES_BUDGET bytes;
+    need(N) is that byte count and grows with N, so the search climbs from
+    N = 1 and costs about as many evaluations as its answer."""
+    if need(N) > BLOCK_BYTES_BUDGET:
+        fits = 0
+        while fits + 1 < N and need(fits + 1) <= BLOCK_BYTES_BUDGET:
+            fits += 1
         raise OperatorTooLarge(
-            f"the diagonal blocks on the box of scale {region.N} may need "
-            f"{need(region.N) / 2**20:.0f} MiB, above the {BLOCK_BYTES_BUDGET / 2**20:.0f} MiB "
-            "budget; " + (f"the largest box scale that fits is N = {fits}" if fits else "no box scale fits"))
+            f"{what} on the box of scale {N} may need {need(N) / 2**20:.0f} MiB, above the "
+            f"{BLOCK_BYTES_BUDGET / 2**20:.0f} MiB budget; "
+            + (f"the largest box scale that fits is N = {fits}" if fits else "no box scale fits"))
 
 
 def assemble(u: QPSeries, E: float, lam: Frequency, theta, region, p: int) -> LinearizedOperator:
     """Build the linearized operator on a Region or an explicit site list.
 
     Raises OperatorTooLarge, before any site is enumerated, when a Region's
-    blocks may outgrow BLOCK_BYTES_BUDGET.
+    blocks may outgrow BLOCK_BYTES_BUDGET (check_box_bytes).
     """
     d = u.d
     if len(lam) != 2 * d:
@@ -207,8 +211,13 @@ def assemble(u: QPSeries, E: float, lam: Frequency, theta, region, p: int) -> Li
     if not all(map(math.isfinite, theta)):
         raise ValueError(f"theta must be finite, got {tuple(theta)!r}")
     kernel = kernel_series(u, p)
+    basis = lattice.hermite_basis(kernel.orbit_members()[0])
     if isinstance(region, Region):
-        _check_block_bytes(region, d, kernel)
+        def need(N):  # each of the n sites lies in a block of at most coset_bound sites
+            n = (2 * N + 1) ** (2 * d) - sum(lattice.linf(s) <= N for s in region.S)
+            return 8 * n * min(n, lattice.coset_bound(basis, 2 * N + 1))
+
+        check_box_bytes(need, region.N, "the diagonal blocks")
         sites = lattice.sites_array(region, d)
         reg = region
     else:
@@ -218,7 +227,7 @@ def assemble(u: QPSeries, E: float, lam: Frequency, theta, region, p: int) -> Li
         sites = np.asarray(listed, dtype=np.int64)
         reg = None
     diag = lattice.symbol_array(sites, lam, theta) - E
-    return LinearizedOperator(sites, diag, kernel, region=reg)
+    return LinearizedOperator(sites, diag, kernel, basis, region=reg)
 
 
 def apply(T: LinearizedOperator, v: np.ndarray) -> np.ndarray:
@@ -358,7 +367,7 @@ def greens_profile(T: LinearizedOperator) -> GreensProfile:
         for x in coords:
             xb = x[rows]
             np.maximum(dist, np.abs(xb[:, :, None] - xb[:, None, :]), out=dist)
-        np.maximum.at(maxes, dist.ravel(), np.abs(G).ravel())
+        np.maximum.at(maxes, dist.ravel(), np.abs(G, out=G).ravel())
     op_norm = inverse_norm(blocks)
 
     N = T.region.N if T.region is not None else int(np.max(np.abs(T.sites)))
@@ -389,14 +398,15 @@ def covariance_discrepancy(u: QPSeries, E: float, lam: Frequency, theta, j0: Ind
     base_sites = lattice.sites_array(region, d)
     shifted_sites = base_sites + np.asarray(j0, dtype=np.int64)
     kernel = kernel_series(u, p)
+    basis = lattice.hermite_basis(kernel.orbit_members()[0])
     theta2 = tuple(
         theta[k] + lattice.block_inner((j0[2 * k], j0[2 * k + 1]), (lam[2 * k], lam[2 * k + 1]))
         for k in range(d)
     )
     diag1 = lattice.symbol_array(shifted_sites, lam, theta) - E
     diag2 = lattice.symbol_array(base_sites, lam, theta2) - E
-    T1 = LinearizedOperator(shifted_sites, diag1, kernel)
-    T2 = LinearizedOperator(base_sites, diag2, kernel)
+    T1 = LinearizedOperator(shifted_sites, diag1, kernel, basis)
+    T2 = LinearizedOperator(base_sites, diag2, kernel, basis)
     # a translation keeps the sites' lexicographic order and their coset
     # partition, so the two block lists pair up row for row
     return max(float(np.abs(A1 - A2).max())

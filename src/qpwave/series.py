@@ -239,14 +239,6 @@ class DecayFit:
     residual_rms: float
     min_distance_used: int
 
-    def to_json_dict(self):
-        return {
-            "rate": self.rate,
-            "prefactor": self.prefactor,
-            "residual_rms": self.residual_rms,
-            "min_distance_used": self.min_distance_used,
-        }
-
 
 def fit_shell_decay(shell_max: dict[int, float], min_distance: int) -> DecayFit:
     """Fit log(max over shell) against shell distance for s >= min_distance.

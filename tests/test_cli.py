@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from helpers import GOOD_JT, GOOD_LAM, count_convolutions
-from qpwave import cli, linop
+from qpwave import cli, diagnostics, dynamics, lattice, linop, solver
 from qpwave.cli import CorruptFile, SchemaVersionMismatch, load_solution, store_solution
 from qpwave.solver import ProblemConfig, solve
 
@@ -401,3 +402,99 @@ def test_non_finite_theta_and_grid_step_are_usage_errors(tmp_path, capsys, value
                      "--grid-step", value, "--out", str(tmp_path / "theta")]) == 1
     assert "grid_step must be positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "greens").exists() and not (tmp_path / "theta").exists()
+
+
+D3_SOLVE = ["solve", "--d", "3", "--M", "2", "--jtilde", "1,0,0,1,1,0",
+            "--lambda", "1.05,0.723,0.8,1.31,1.21,0.57", "--force"]
+
+# every typed rejection main maps to exit 2, built from the stored record
+REJECTIONS = {
+    "SeparationFailure": lambda rec: solver.SeparationFailure(0.1, 0.2),
+    "MixedDegenerateIndex": lambda rec: solver.MixedDegenerateIndex("planted"),
+    "NotConverged": solver.NotConverged,
+    "DivergedIncrement": solver.DivergedIncrement,
+    "SingularOperator": lambda rec: linop.SingularOperator("planted"),
+    "OperatorTooLarge": lambda rec: linop.OperatorTooLarge("planted"),
+    "StepUnstable": lambda rec: dynamics.StepUnstable("planted"),
+}
+
+# the library call each command makes, and the command's arguments
+PROBLEM = solve_args("")[1:-2]
+COMMANDS = {
+    "solve": (solver, "solve", lambda sol: PROBLEM),
+    "sweep-lambda": (diagnostics, "lambda_sweep", lambda sol: [*PROBLEM, "--n-samples", "2"]),
+    "greens": (linop, "greens_profile", lambda sol: ["--in", sol, "--N", "4"]),
+    "theta-sweep": (diagnostics, "theta_bad_fraction", lambda sol: ["--in", sol, "--N", "2"]),
+    "bifurcation": (diagnostics, "bifurcation_scan",
+                    lambda sol: [*PROBLEM, "--a-values", "0.001,0.0032,0.01,0.032"]),
+    "evolve": (dynamics, "evolve", lambda sol: ["--in", sol, "--T", "0.002"]),
+}
+
+
+@pytest.fixture(scope="module")
+def stored_solution(tmp_path_factory):
+    run = tmp_path_factory.mktemp("stored")
+    assert cli.main(solve_args(run)) == 0
+    return str(run / "solution.json")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("rejection", sorted(REJECTIONS))
+def test_main_maps_every_typed_rejection_to_exit_two(tmp_path, capsys, monkeypatch,
+                                                     stored_solution, command, rejection):
+    exc = REJECTIONS[rejection](load_solution(stored_solution))
+
+    def planted(*args, **kwargs):
+        raise exc
+
+    module, name, argv = COMMANDS[command]
+    monkeypatch.setattr(module, name, planted)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main([command, *argv(stored_solution), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"rejected: {exc}\n"
+    partial = command == "solve" and rejection in ("NotConverged", "DivergedIncrement")
+    written = sorted(os.listdir(out)) if out.exists() else []
+    assert written == (["solution.json", "trace.csv"] if partial else [])
+
+
+def test_greens_rejects_a_huge_box_scale_quickly(tmp_path, capsys, stored_solution):
+    # the largest fitting scale is searched upward from N = 1, so the cost
+    # follows the answer (N = 255), not the requested scale
+    start = time.perf_counter()
+    code = cli.main(["greens", "--in", stored_solution, "--N", "10000000",
+                     "--out", str(tmp_path / "greens")])
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected:") and "largest box scale that fits is N = 255" in err
+    assert not (tmp_path / "greens").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--d", "2", "--M", "60", "--n-max", "60"],
+    ["sweep-lambda", "--d", "2", "--sep-n", "60", "--n-samples", "3"],
+])
+def test_separation_box_over_the_budget_is_rejected_before_enumeration(tmp_path, capsys,
+                                                                        monkeypatch, argv):
+    monkeypatch.setattr(lattice, "sites_array", lambda region, d: pytest.fail("enumerated"))
+    out = tmp_path / "out"
+    code = cli.main([*argv, "--jtilde", "1,0,0,1", "--lambda", "1.05,0.723,0.8,1.31",
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: the site list") and "fits is N = 31" in err
+    assert not out.exists()
+
+
+def test_evolve_rejects_a_grid_over_the_guard(tmp_path, capsys):
+    # the default d = 3 solution's box (N_max 8) is a 17^6 grid, above
+    # dynamics.MAX_GRID_SIZE: a domain rejection like an oversized operator
+    run = tmp_path / "run"
+    assert cli.main([*D3_SOLVE, "--out", str(run)]) == 0
+    capsys.readouterr()
+    code = cli.main(["evolve", "--in", str(run / "solution.json"), "--out", str(tmp_path / "evolve")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected:") and "dense-evolution guard" in err
+    assert not (tmp_path / "evolve").exists()

@@ -356,6 +356,23 @@ def test_assemble_rejects_blocks_over_the_budget(monkeypatch):
         assemble(u, -1.0, GOOD_LAM, None, region, p=1)
 
 
+def test_box_bytes_search_costs_about_its_answer():
+    # the largest fitting scale is found by climbing from N = 1, so the
+    # search evaluates need about as often as its answer, not N times
+    calls = []
+
+    def need(N):
+        calls.append(N)
+        return N * (linop.BLOCK_BYTES_BUDGET // 100)
+
+    linop.check_box_bytes(need, 100, "the list")
+    assert calls == [100]
+    with pytest.raises(linop.OperatorTooLarge,
+                       match="the list on the box of scale 1000000 .* fits is N = 100$"):
+        linop.check_box_bytes(need, 10**6, "the list")
+    assert len(calls) < 110
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_greens_profile_rejects_non_finite_block_inverse(bad, monkeypatch):
     # an inversion can succeed and still produce non-finite entries
