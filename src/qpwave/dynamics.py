@@ -10,19 +10,28 @@ linear part is diagonal in this basis, so the integrator is a Lawson
 (integrating-factor) fourth-order Runge-Kutta scheme with exact linear
 phases between stages; stiffness of the diagonal never limits the step.
 
-The nonlinear term is pseudo-spectral.  The coefficients are those of a
-hull function on the torus T^(2d), so the term is one inverse FFT, the
-pointwise product |f|^(2p) f and one forward FFT.  The product of a state
-of radius N_in has radius (2p+1) N_in, so a period
-L >= (2p+1) N_in + N_out + 1 keeps the [-N_out, N_out] crop alias-free
-(Orszag's padding rule).
+The flow never leaves the lattice spanned by the initial state's support:
+the linear part is diagonal, and every site of the nonlinear term is a
+signed sum of 2p+1 sites of the state.  So the state is stored on that
+lattice's coordinates: with H its row Hermite basis (lattice.hermite_basis,
+r x 2d, r the rank), site j = m @ H for m in Z^r.  An even seed's solution
+has r = d; a generic full-rank support gives r = 2d and the whole box.  The
+box's lattice points lie in the rectangle |m_i| <= h_i (_half_widths, in
+closed form from H's pivots), and a mask keeps those inside the box.
+
+The nonlinear term is pseudo-spectral.  In m the convolution is that of
+Z^r, so the term is one inverse FFT on T^r, the pointwise product
+|f|^(2p) f and one forward FFT.  The product of a state of half-widths
+h_in has half-widths (2p+1) h_in, so a period
+L_i >= (2p+1) h_in_i + h_out_i + 1 on each axis keeps the crop at h_out
+alias-free (Orszag's padding rule).
 
 A constructed profile with eigenvalue E should evolve as the pure phase
 rotation e^(-iEt) times itself; standing_wave_deviation measures how far a
 stored solution drifts from that rotation.  The box truncation error is
 reported, never hidden: at every checkpoint, t = 0 included, the fraction
 of the nonlinear term's l2 mass that falls outside the box, read from its
-whole unaliased spectrum (the crop at N_out = (2p+1) N).
+whole unaliased spectrum (the crop at (2p+1) h).
 """
 
 from __future__ import annotations
@@ -31,17 +40,67 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from . import lattice
 from .lattice import Frequency, Index, Region
-from .linop import OperatorTooLarge
+from .linop import check_box_bytes
 from .series import QPSeries
 from .solver import SolutionRecord
 
-# Dense-grid guard: (2N+1)^(2d) entries per state array; a larger grid is
-# a domain rejection (linop.OperatorTooLarge), like an oversized operator.
-MAX_GRID_SIZE = 1 << 23
+
+def next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a length numpy.fft transforms fast."""
+    best = 1 << max(n - 1, 0).bit_length()  # a power of two always qualifies
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _half_widths(basis: np.ndarray, N: int) -> tuple[int, ...]:
+    """Half-widths h of a rectangle |m_i| <= h_i of coordinates holding every
+    point of the box of scale N on the lattice spanned by basis
+    (hermite_basis): at row i's pivot c, m @ basis is m_i * pivot plus the
+    earlier rows' entries there, so |m_i| * pivot <= N + sum_k<i h_k |basis[k, c]|."""
+    half: list[int] = []
+    for row in basis:
+        c = np.flatnonzero(row)[0]
+        reach = N + sum(h * abs(int(b)) for h, b in zip(half, basis[:, c]))
+        half.append(reach // int(row[c]))
+    return tuple(half)
+
+
+def _coordinates(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Centred coordinates m, (n, r), of C-order positions in a grid of odd
+    side lengths; r = 0 (a single point) included."""
+    m = np.empty((len(flat), len(shape)), dtype=np.int64)
+    for i in reversed(range(len(shape))):
+        flat, m[:, i] = np.divmod(flat, shape[i])
+    return m - np.array([n // 2 for n in shape], dtype=np.int64)
+
+
+def _positions(m: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """C-order positions of centred coordinates m: the inverse of _coordinates."""
+    strides = np.array([math.prod(shape[i + 1:]) for i in range(len(shape))], dtype=np.int64)
+    return (m + np.array([n // 2 for n in shape], dtype=np.int64)) @ strides
+
+
+def _grid_sites(basis: np.ndarray, half) -> np.ndarray:
+    """Site m @ basis of every point of the rectangle |m_i| <= half_i, in
+    C order: an (n, 2d) int64 array."""
+    shape = tuple(2 * h + 1 for h in half)
+    return _coordinates(np.arange(math.prod(shape)), shape) @ basis
+
+
+def _in_box(basis: np.ndarray, half, N: int) -> np.ndarray:
+    """Mask of the rectangle |m_i| <= half_i: True where m @ basis lies in
+    the box of scale N."""
+    inside = Region.full_box(N).contains_array(_grid_sites(basis, half))
+    return inside.reshape(tuple(2 * h + 1 for h in half))
 
 
 class StepUnstable(Exception):
@@ -97,47 +156,81 @@ class ComplexSeries:
                 worst = max(worst, abs(self.coeffs.get(member, 0j) - v))
         return worst
 
-    def to_grid(self, N: int) -> np.ndarray:
-        """Dense complex array over [-N, N]^(2d), index j at position j + N;
-        OperatorTooLarge above MAX_GRID_SIZE entries."""
-        shape = (2 * N + 1,) * (2 * self.d)
-        if np.prod(shape) > MAX_GRID_SIZE:
-            raise OperatorTooLarge(f"grid of shape {shape} exceeds the dense-evolution guard "
-                                   f"of {MAX_GRID_SIZE} entries")
-        g = np.zeros(shape, dtype=complex)
-        for j, v in self.coeffs.items():
-            if lattice.linf(j) <= N:
-                g[tuple(c + N for c in j)] = v
+    def basis(self) -> np.ndarray:
+        """Row Hermite basis of the lattice spanned by the support."""
+        sites = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, 2 * self.d)
+        return lattice.hermite_basis(sites)
+
+    def to_grid(self, basis: np.ndarray, N: int) -> np.ndarray:
+        """Dense complex array over the rectangle _half_widths(basis, N) of
+        coordinates m, the site m @ basis at position m + h; sites outside
+        the box of scale N are dropped, and a site off the lattice spanned by
+        basis is a ValueError."""
+        kept = {j: v for j, v in self.coeffs.items() if lattice.linf(j) <= N}
+        m, rest = lattice.lattice_reduce(np.array(list(kept), dtype=np.int64).reshape(-1, 2 * self.d),
+                                         basis)
+        if rest.any():
+            raise ValueError("a site lies off the lattice spanned by the basis")
+        g = np.zeros(tuple(2 * h + 1 for h in _half_widths(basis, N)), dtype=complex)
+        g.reshape(-1)[_positions(m, g.shape)] = list(kept.values())
         return g
 
     @staticmethod
-    def from_grid(d: int, grid: np.ndarray, N: int, drop_tol: float = 0.0) -> "ComplexSeries":
-        out = {}
-        for pos in np.argwhere(np.abs(grid) > drop_tol):
-            j = tuple(int(c) - N for c in pos)
-            out[j] = complex(grid[tuple(pos)])
-        return ComplexSeries(d, out)
+    def from_grid(grid: np.ndarray, basis: np.ndarray, drop_tol: float = 0.0) -> "ComplexSeries":
+        """The entries of a to_grid array above drop_tol in modulus, at their
+        sites m @ basis."""
+        flat = np.flatnonzero(np.abs(grid) > drop_tol)
+        sites = _coordinates(flat, grid.shape) @ basis
+        return ComplexSeries(basis.shape[1] // 2,
+                             dict(zip(map(tuple, sites.tolist()), grid.reshape(-1)[flat].tolist())))
 
 
-def _nonlinear_grid(grid: np.ndarray, p: int, N_in: int, N_out: int) -> np.ndarray:
-    """[C^(*(p+1)) * (Cbar)^(*p)] of the [-N_in, N_in] grid, cropped to
-    [-N_out, N_out]: pseudo-spectral on the alias-free period L."""
-    ndim = grid.ndim
-    L = scipy.fft.next_fast_len((2 * p + 1) * N_in + N_out + 1)
-    padded = np.zeros((L,) * ndim, dtype=complex)
-    padded[np.ix_(*[np.arange(-N_in, N_in + 1) % L] * ndim)] = grid
-    f = scipy.fft.ifftn(padded, norm="forward")
-    prod = scipy.fft.fftn((f.real * f.real + f.imag * f.imag) ** p * f, norm="forward")
-    return prod[np.ix_(*[np.arange(-N_out, N_out + 1) % L] * ndim)]
+def _periods(half_in, half_out, p: int) -> list[int]:
+    """Alias-free FFT length per axis for the crop at half_out of the
+    nonlinear term of a grid of half-widths half_in."""
+    return [next_fast_len((2 * p + 1) * i + o + 1) for i, o in zip(half_in, half_out)]
 
 
-def _out_of_box_fraction(grid: np.ndarray, p: int, N: int) -> float:
-    """Fraction of the nonlinear term's l2 mass outside [-N, N]: the crop at
-    (2p+1) N holds the whole unaliased spectrum."""
-    full = _nonlinear_grid(grid, p, N, (2 * p + 1) * N)
+def _fft_plan(half_in, half_out, p: int):
+    """The alias-free periods for the crop at half_out of the nonlinear term
+    of a grid of half-widths half_in, and the index arrays that place the
+    grid on them and crop the product."""
+    L = _periods(half_in, half_out, p)
+    return (L, np.ix_(*[np.arange(-h, h + 1) % n for h, n in zip(half_in, L)]),
+            np.ix_(*[np.arange(-h, h + 1) % n for h, n in zip(half_out, L)]))
+
+
+def _nonlinear_grid(grid: np.ndarray, p: int, plan) -> np.ndarray:
+    """[C^(*(p+1)) * (Cbar)^(*p)] of a to_grid array, pseudo-spectral on the
+    periods of plan (_fft_plan) and cropped as it says."""
+    L, place, crop = plan
+    padded = np.zeros(L, dtype=complex)
+    padded[place] = grid
+    f = np.fft.ifftn(padded, norm="forward")
+    del padded
+    f *= (f.real * f.real + f.imag * f.imag) ** p
+    return np.asarray(np.fft.fftn(f, norm="forward")[crop])
+
+
+def _out_of_box_fraction(grid: np.ndarray, p: int, plan, inside: np.ndarray) -> float:
+    """Fraction of the nonlinear term's l2 mass off the mask inside, the
+    box's points on plan's crop at (2p+1) times grid's half-widths: that
+    crop holds the whole unaliased spectrum."""
+    full = _nonlinear_grid(grid, p, plan)
     total = float(np.linalg.norm(full))
-    full[(slice(2 * p * N, (2 * p + 2) * N + 1),) * grid.ndim] = 0.0
+    full[inside] = 0.0
     return float(np.linalg.norm(full)) / total if total > 0.0 else 0.0
+
+
+def _evolve_bytes(basis: np.ndarray, p: int, N: int) -> int:
+    """Bytes of the complex grids evolve may hold at once on the box of scale
+    N: twelve of the state's rectangle (the state, its reference copy, two
+    phase arrays, four RK4 stages, a stage input and the update's
+    temporaries) and two of the out-of-box period (the padded grid and its
+    FFT output), which is longer on every axis than a stage's period."""
+    half = _half_widths(basis, N)
+    wide = [(2 * p + 1) * h for h in half]
+    return 16 * (12 * math.prod(2 * h + 1 for h in half) + 2 * math.prod(_periods(half, wide, p)))
 
 
 def nonlinear_term(C: ComplexSeries, p: int, box: Region) -> ComplexSeries:
@@ -150,10 +243,13 @@ def nonlinear_term(C: ComplexSeries, p: int, box: Region) -> ComplexSeries:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    N_in = max(C.support_radius(), 1)
-    crop = _nonlinear_grid(C.to_grid(N_in), p, N_in, box.N)
+    basis = C.basis()
+    half = _half_widths(basis, box.N)
+    grid = C.to_grid(basis, max(C.support_radius(), 1))
+    crop = _nonlinear_grid(grid, p, _fft_plan([n // 2 for n in grid.shape], half, p))
+    crop[~_in_box(basis, half, box.N)] = 0.0
     floor = 1e-13 * float(np.max(np.abs(crop)))
-    out = ComplexSeries.from_grid(C.d, crop, box.N, drop_tol=floor)
+    out = ComplexSeries.from_grid(crop, basis, drop_tol=floor)
     if box.kind != lattice.FULL_BOX:
         out = ComplexSeries(C.d, {j: v for j, v in out.coeffs.items() if box.contains(j)})
     return out
@@ -197,15 +293,20 @@ def evolve(C0: ComplexSeries, lam: Frequency, p: int, T: float, dt: float,
         raise ValueError("need dt > 0 and a finite T >= dt")
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
-    d = C0.d
     N = box.N
-    state = C0.to_grid(N)
+    basis = C0.basis()
+    check_box_bytes(lambda n: _evolve_bytes(basis, p, n), N, "the evolution grids")
+    half = _half_widths(basis, N)
+    state = C0.to_grid(basis, N)
     n_steps = int(round(T / dt))
 
-    pts = lattice.sites_array(Region.full_box(N), d)
-    omega = lattice.symbol_array(pts, lam).reshape(state.shape)
+    outside = ~_in_box(basis, half, N)
+    omega = lattice.symbol_array(_grid_sites(basis, half), lam).reshape(state.shape)
     e_half = np.exp(-1j * omega * (dt / 2.0))
     e_full = e_half * e_half
+    wide = [(2 * p + 1) * h for h in half]
+    stage_plan, wide_plan = _fft_plan(half, half, p), _fft_plan(half, wide, p)
+    wide_in_box = _in_box(basis, wide, N) if nonlinear else None
 
     ref0 = state.copy() if phase_reference is not None else None
     mass0 = float(np.linalg.norm(state))
@@ -214,7 +315,7 @@ def evolve(C0: ComplexSeries, lam: Frequency, p: int, T: float, dt: float,
     def checkpoint(t, g):
         times.append(t)
         masses.append(float(np.linalg.norm(g)))
-        oob.append(_out_of_box_fraction(g, p, N) if nonlinear else 0.0)
+        oob.append(_out_of_box_fraction(g, p, wide_plan, wide_in_box) if nonlinear else 0.0)
         if phase_reference is None:
             devs.append(math.nan)
         else:
@@ -222,18 +323,22 @@ def evolve(C0: ComplexSeries, lam: Frequency, p: int, T: float, dt: float,
             devs.append(float(np.linalg.norm(drift)) / mass0 if mass0 > 0 else 0.0)
 
     def nl(g):
-        return 1j * _nonlinear_grid(g, p, N, N) if nonlinear else np.zeros_like(g)
+        if not nonlinear:
+            return np.zeros_like(g)
+        crop = _nonlinear_grid(g, p, stage_plan)
+        crop[outside] = 0.0  # so the state stays 0 at the rectangle's points outside the box
+        return 1j * crop
 
     checkpoint(0.0, state)
     for step in range(1, n_steps + 1):
         prev_norm = np.linalg.norm(state)
         n1 = nl(state)
-        u2 = e_half * (state + (dt / 2.0) * n1)
-        n2 = nl(u2)
-        u3 = e_half * state + (dt / 2.0) * n2
-        n3 = nl(u3)
-        u4 = e_full * state + dt * (e_half * n3)
-        n4 = nl(u4)
+        u = e_half * (state + (dt / 2.0) * n1)
+        n2 = nl(u)
+        u = e_half * state + (dt / 2.0) * n2
+        n3 = nl(u)
+        u = e_full * state + dt * (e_half * n3)
+        n4 = nl(u)
         state = e_full * state + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
         t = step * dt
         new_norm = np.linalg.norm(state)
@@ -247,7 +352,7 @@ def evolve(C0: ComplexSeries, lam: Frequency, p: int, T: float, dt: float,
     devs_arr = np.array(devs)
     max_dev = float(np.nanmax(devs_arr)) if phase_reference is not None else math.nan
     return EvolveResult(
-        final=ComplexSeries.from_grid(d, state, N, drop_tol=0.0),
+        final=ComplexSeries.from_grid(state, basis),
         times=np.array(times), mass=masses_arr, deviation=devs_arr,
         out_of_box=np.array(oob), mass_drift=drift,
         max_deviation=max_dev, max_out_of_box=max(oob),

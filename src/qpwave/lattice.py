@@ -213,14 +213,26 @@ def hermite_basis(vectors: np.ndarray) -> np.ndarray:
     return np.array(basis, dtype=np.int64).reshape(-1, k)
 
 
+def lattice_reduce(pts: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates m (n, r) and remainders of integer rows against basis
+    (hermite_basis), with pts = m @ basis + remainder: substitution row by
+    row on the pivots leaves every pivot coordinate of the remainder in
+    [0, pivot), so the remainder is the row's coset representative, zero
+    exactly for the rows on the lattice."""
+    rest = np.array(pts, dtype=np.int64)
+    m = np.empty((len(rest), len(basis)), dtype=np.int64)
+    for i, row in enumerate(basis):
+        c = np.flatnonzero(row)[0]
+        m[:, i] = rest[:, c] // row[c]
+        rest -= m[:, i, None] * row
+    return m, rest
+
+
 def coset_labels(pts: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Label of each row's coset of the lattice spanned by basis
     (hermite_basis), counting up in order of each coset's first row: each
     row reduced to the representative with pivot coordinates in [0, pivot)."""
-    rep = np.array(pts, dtype=np.int64)
-    for row in basis:
-        c = np.flatnonzero(row)[0]
-        rep -= (rep[:, c] // row[c])[:, None] * row
+    rep = lattice_reduce(pts, basis)[1]
     _, first, inverse = np.unique(rep, axis=0, return_index=True, return_inverse=True)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(len(first))

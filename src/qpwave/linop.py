@@ -52,7 +52,8 @@ from .series import DecayFit, InsufficientData, QPSeries, conv_power, fit_shell_
 SINGULAR_FLOOR = 1e-6
 
 # Most bytes the arrays sized by a box may take: an operator's dense
-# diagonal blocks, or the separation margin's site list (check_box_bytes).
+# diagonal blocks, the separation margin's site list or an evolution's
+# grids (check_box_bytes).
 # A Green's profile holds, besides the blocks, one block size's inverses
 # and pair distances, so it still peaks near twice the blocks' bytes.
 BLOCK_BYTES_BUDGET = 2**29
@@ -61,9 +62,8 @@ _EPS = np.finfo(float).eps
 
 
 class OperatorTooLarge(Exception):
-    """A box is too large for memory: an operator's diagonal blocks or a
-    site list may outgrow BLOCK_BYTES_BUDGET, or an evolution grid exceeds
-    dynamics.MAX_GRID_SIZE."""
+    """A box is too large for memory: an operator's diagonal blocks, a site
+    list or an evolution's grids may outgrow BLOCK_BYTES_BUDGET."""
 
 
 class SingularOperator(Exception):
@@ -183,12 +183,19 @@ class LinearizedOperator:
 def check_box_bytes(need, N: int, what: str):
     """Raise OperatorTooLarge, naming the largest box scale that fits, when
     what on the box of scale N may need more than BLOCK_BYTES_BUDGET bytes;
-    need(N) is that byte count and grows with N, so the search climbs from
-    N = 1 and costs about as many evaluations as its answer."""
+    need(N) is that byte count and grows with N, so the search doubles from
+    N = 1 and then bisects, a few dozen evaluations at any N."""
     if need(N) > BLOCK_BYTES_BUDGET:
-        fits = 0
-        while fits + 1 < N and need(fits + 1) <= BLOCK_BYTES_BUDGET:
-            fits += 1
+        fits, over = 0, 1  # need(fits) fits (or fits = 0); need(over) may not
+        while over < N and need(over) <= BLOCK_BYTES_BUDGET:
+            fits, over = over, 2 * over
+        over = min(over, N)
+        while over - fits > 1:
+            mid = (fits + over) // 2
+            if need(mid) <= BLOCK_BYTES_BUDGET:
+                fits = mid
+            else:
+                over = mid
         raise OperatorTooLarge(
             f"{what} on the box of scale {N} may need {need(N) / 2**20:.0f} MiB, above the "
             f"{BLOCK_BYTES_BUDGET / 2**20:.0f} MiB budget; "

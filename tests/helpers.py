@@ -6,7 +6,9 @@ items, no boxes, no symmetrization.  The sorted-loop oracles are the
 package's earlier per-pair and per-site loops, kept to pin the array code
 to them bit for bit; dense_greens_profile is a dense all-pairs Green's
 profile from NumPy's inverse and eigh of the whole matrix, sharing no
-code with the block-wise one it checks.
+code with the block-wise one it checks; full_box_evolve integrates the
+flow on the dense [-N, N]^(2d) grid with 2d-dimensional FFTs, against
+evolution on the lattice spanned by the state's support.
 """
 
 import itertools
@@ -16,7 +18,8 @@ import numpy as np
 import pytest
 
 from qpwave import linop
-from qpwave.lattice import canonical, is_canonical, is_canonical_array, orbit, sites_array
+from qpwave.lattice import (Region, canonical, is_canonical, is_canonical_array, orbit,
+                            sites_array, symbol_array)
 from qpwave.linop import GreensProfile, SingularOperator
 from qpwave.series import InsufficientData, QPSeries, fit_shell_decay
 
@@ -235,3 +238,51 @@ def profile_with_shells(T) -> tuple[GreensProfile, np.ndarray]:
                    lambda shells, lo: seen.append(shells) or fit_shell_decay(shells, lo))
         prof = linop.greens_profile(T)
     return prof, np.array([seen[0][s] for s in range(len(seen[0]))])
+
+
+def full_box_nonlinear(grid: np.ndarray, p: int, N_in: int, N_out: int) -> np.ndarray:
+    """[C^(*(p+1)) * (Cbar)^(*p)] of a dense [-N_in, N_in]^(2d) grid, cropped
+    to [-N_out, N_out]^(2d), on the alias-free period (2p+1) N_in + N_out + 1."""
+    L = (2 * p + 1) * N_in + N_out + 1
+    padded = np.zeros((L,) * grid.ndim, dtype=complex)
+    padded[np.ix_(*[np.arange(-N_in, N_in + 1) % L] * grid.ndim)] = grid
+    f = np.fft.ifftn(padded, norm="forward")
+    prod = np.fft.fftn((f.real * f.real + f.imag * f.imag) ** p * f, norm="forward")
+    return prod[np.ix_(*[np.arange(-N_out, N_out + 1) % L] * grid.ndim)]
+
+
+def full_box_evolve(coeffs: dict, lam, p: int, T: float, dt: float, N: int, every: int, E: float):
+    """Lawson RK4 of the truncated flow on the dense [-N, N]^(2d) grid:
+    (final coefficients, rows of (mass, deviation from e^(-iEt) C0,
+    out-of-box fraction) at the checkpoints)."""
+    d = len(next(iter(coeffs))) // 2
+    g = np.zeros((2 * N + 1,) * (2 * d), dtype=complex)
+    for j, v in coeffs.items():
+        if max(map(abs, j)) <= N:
+            g[tuple(c + N for c in j)] = v
+    omega = symbol_array(sites_array(Region.full_box(N), d), lam).reshape(g.shape)
+    e_half = np.exp(-1j * omega * (dt / 2.0))
+    e_full, g0, rows = e_half * e_half, g.copy(), []
+
+    def nl(x):
+        return 1j * full_box_nonlinear(x, p, N, N)
+
+    def checkpoint(t, x):
+        full = full_box_nonlinear(x, p, N, (2 * p + 1) * N)
+        total = np.linalg.norm(full)
+        full[(slice(2 * p * N, (2 * p + 2) * N + 1),) * x.ndim] = 0.0
+        rows.append((np.linalg.norm(x), np.linalg.norm(x - np.exp(-1j * E * t) * g0) / np.linalg.norm(g0),
+                     np.linalg.norm(full) / total))
+
+    n_steps = int(round(T / dt))
+    checkpoint(0.0, g)
+    for step in range(1, n_steps + 1):
+        n1 = nl(g)
+        n2 = nl(e_half * (g + (dt / 2.0) * n1))
+        n3 = nl(e_half * g + (dt / 2.0) * n2)
+        n4 = nl(e_full * g + dt * (e_half * n3))
+        g = e_full * g + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+        if step % every == 0 or step == n_steps:
+            checkpoint(step * dt, g)
+    final = {tuple(int(c) - N for c in pos): complex(g[tuple(pos)]) for pos in np.argwhere(g != 0)}
+    return final, np.array(rows)

@@ -487,14 +487,40 @@ def test_separation_box_over_the_budget_is_rejected_before_enumeration(tmp_path,
     assert not out.exists()
 
 
-def test_evolve_rejects_a_grid_over_the_guard(tmp_path, capsys):
-    # the default d = 3 solution's box (N_max 8) is a 17^6 grid, above
-    # dynamics.MAX_GRID_SIZE: a domain rejection like an oversized operator
+def test_evolve_runs_the_default_d3_solution(tmp_path, capsys):
+    # the d = 3 state spans a rank-3 lattice, so its 17^6 box is a 17^3 grid
+    run = tmp_path / "run"
+    assert cli.main([*D3_SOLVE, "--out", str(run)]) == 0
+    out = tmp_path / "evolve"
+    assert cli.main(["evolve", "--in", str(run / "solution.json"), "--T", "0.01",
+                     "--out", str(out)]) == 0
+    assert json.loads((out / "evolve.json").read_text())["max_deviation"] <= 1e-6
+
+
+def test_evolve_rejects_grids_over_the_budget(tmp_path, capsys):
     run = tmp_path / "run"
     assert cli.main([*D3_SOLVE, "--out", str(run)]) == 0
     capsys.readouterr()
-    code = cli.main(["evolve", "--in", str(run / "solution.json"), "--out", str(tmp_path / "evolve")])
+    code = cli.main(["evolve", "--in", str(run / "solution.json"), "--N", "1000",
+                     "--out", str(tmp_path / "evolve")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("rejected:") and "dense-evolution guard" in err
+    assert err.startswith("rejected:") and "the evolution grids" in err
+    assert not (tmp_path / "evolve").exists()
+
+
+def test_evolve_rejects_a_huge_box_scale_quickly(tmp_path, capsys, stored_solution):
+    # the largest fitting scale is found by doubling and bisection, so the
+    # rejection costs a few dozen byte counts, not one per scale
+    start = time.perf_counter()
+    code = cli.main(["evolve", "--in", stored_solution, "--N", "10000000",
+                     "--out", str(tmp_path / "evolve")])
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: the evolution grids")
+    fits = int(err.split("the largest box scale that fits is N = ")[1])
+    basis = dynamics.ComplexSeries.from_profile(load_solution(stored_solution).u).basis()
+    assert (dynamics._evolve_bytes(basis, 1, fits) <= linop.BLOCK_BYTES_BUDGET
+            < dynamics._evolve_bytes(basis, 1, fits + 1))
     assert not (tmp_path / "evolve").exists()

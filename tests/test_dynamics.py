@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import GOOD_JT, GOOD_LAM, random_symmetric_series
+from helpers import (GOOD_JT, GOOD_JT_D2, GOOD_LAM, GOOD_LAM_D2, full_box_evolve, full_box_nonlinear,
+                     random_symmetric_series)
+from qpwave import dynamics, linop
 from qpwave.dynamics import ComplexSeries, StepUnstable, evolve, nonlinear_term, standing_wave_deviation
 from qpwave.lattice import Region, symbol
 from qpwave.series import QPSeries, conv_power, truncate
@@ -189,6 +191,102 @@ def test_evolve_rejects_bad_step_and_checkpoint_arguments():
             evolve(C0, GOOD_LAM, 1, T, dt, box)
     with pytest.raises(ValueError, match="checkpoint_every"):
         evolve(C0, GOOD_LAM, 1, 0.1, 1e-2, box, checkpoint_every=0)
+
+
+# --------------------------------------------------------------------------
+# the support's lattice against the whole box
+
+def _solution_case(cfg, N):
+    rec = solve(cfg, precheck=False)
+    assert rec.accepted
+    return ComplexSeries.from_profile(rec.u), cfg.lam, cfg.p, N, rec.E
+
+
+# (initial state, lambda, p, box scale, phase reference)
+ORACLE_CASES = {
+    "d1-stored": lambda: _solution_case(good_cfg(), 30),
+    # a larger amplitude on a small box: out-of-box mass near 4e-4
+    "d1-large-amplitude": lambda: _solution_case(good_cfg(a=0.3), 4),
+    "d2-p1": lambda: _solution_case(
+        ProblemConfig(d=2, p=1, a=0.02, M=2, jtilde=GOOD_JT_D2, lam=GOOD_LAM_D2), 4),
+    "d2-p2": lambda: _solution_case(
+        ProblemConfig(d=2, p=2, a=0.02, M=2, jtilde=GOOD_JT_D2, lam=GOOD_LAM_D2), 4),
+    # (1, 1) and (2, -1) span an index-3 lattice of full rank
+    "skewed": lambda: (ComplexSeries(1, {(1, 1): 0.3 + 0.1j, (2, -1): -0.2 + 0.25j}),
+                       GOOD_LAM, 1, 6, 0.4),
+    "constant": lambda: (ComplexSeries(1, {(0, 0): 0.5 + 0j}), GOOD_LAM, 1, 2, -0.25),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_CASES))
+def oracle_case(request):
+    return ORACLE_CASES[request.param]()
+
+
+def _assert_close_coeffs(got: dict, want: dict):
+    peak = max(map(abs, want.values()))
+    for j in set(got) | set(want):
+        assert abs(got.get(j, 0j) - want.get(j, 0j)) <= 1e-12 * peak, j
+
+
+def _assert_agree(got: np.ndarray, want: np.ndarray):
+    # 1e-12 relative above an absolute floor of 1e-15: the deviation and the
+    # out-of-box fraction are ratios of norms of small differences or small
+    # tails, and the two paths' FFTs, of different sizes, round differently
+    # at about 1e-16 of the peak
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_nonlinear_term_matches_the_whole_box(oracle_case):
+    C, lam, p, N, _ = oracle_case
+    C = ComplexSeries(C.d, {j: v for j, v in C.coeffs.items() if max(map(abs, j)) <= N})
+    grid = np.zeros((2 * N + 1,) * (2 * C.d), dtype=complex)
+    for j, v in C.coeffs.items():
+        grid[tuple(c + N for c in j)] = v
+    crop = full_box_nonlinear(grid, p, N, N)
+    want = {tuple(int(c) - N for c in pos): complex(crop[tuple(pos)]) for pos in np.argwhere(crop != 0)}
+    _assert_close_coeffs(nonlinear_term(C, p, Region.full_box(N)).coeffs, want)
+
+
+def test_evolve_matches_the_whole_box(oracle_case):
+    C0, lam, p, N, E = oracle_case
+    T, dt, every = 0.004, 1e-3, 4
+    res = evolve(C0, lam, p, T, dt, Region.full_box(N), checkpoint_every=every, phase_reference=E)
+    final, rows = full_box_evolve(C0.coeffs, lam, p, T, dt, N, every, E)
+    np.testing.assert_allclose(res.times, [0.0, 0.004], rtol=0.0, atol=1e-15)
+    _assert_agree(res.mass, rows[:, 0])
+    _assert_agree(res.deviation, rows[:, 1])
+    _assert_agree(res.out_of_box, rows[:, 2])
+    _assert_close_coeffs(res.final.coeffs, final)
+
+
+def test_evolution_grid_is_the_support_lattice():
+    # an even seed's solution spans a rank-d lattice, so the d = 1 state is
+    # one line of 2N + 1 points, and the grids' bytes grow like N
+    rec = solve(good_cfg())
+    basis = ComplexSeries.from_profile(rec.u).basis()
+    assert basis.tolist() == [[1, 1]]
+    assert dynamics._half_widths(basis, 30) == (30,)
+    assert dynamics._evolve_bytes(basis, 1, 2000) < 2 * dynamics._evolve_bytes(basis, 1, 1000)
+
+
+def test_evolve_rejects_grids_over_the_budget_before_allocating(monkeypatch):
+    C0 = ComplexSeries(1, {(1, 1): 0.1, (-1, -1): 0.1})
+    monkeypatch.setattr(ComplexSeries, "to_grid", lambda *a: pytest.fail("allocated"))
+    with pytest.raises(linop.OperatorTooLarge, match="the evolution grids on the box of scale 10000000"):
+        evolve(C0, GOOD_LAM, 1, 0.01, 1e-3, Region.full_box(10**7))
+
+
+def test_next_fast_len_is_the_smallest_5_smooth_length():
+    def smooth(n):
+        for f in (2, 3, 5):
+            while n % f == 0:
+                n //= f
+        return n == 1
+
+    for n in range(1, 400):
+        L = dynamics.next_fast_len(n)
+        assert L >= n and smooth(L) and not any(smooth(k) for k in range(n, L))
 
 
 # --------------------------------------------------------------------------

@@ -357,8 +357,8 @@ def test_assemble_rejects_blocks_over_the_budget(monkeypatch):
 
 
 def test_box_bytes_search_costs_about_its_answer():
-    # the largest fitting scale is found by climbing from N = 1, so the
-    # search evaluates need about as often as its answer, not N times
+    # the largest fitting scale is found by doubling from N = 1, then
+    # bisecting, so the search evaluates need far fewer times than N
     calls = []
 
     def need(N):
@@ -371,6 +371,22 @@ def test_box_bytes_search_costs_about_its_answer():
                        match="the list on the box of scale 1000000 .* fits is N = 100$"):
         linop.check_box_bytes(need, 10**6, "the list")
     assert len(calls) < 110
+
+
+@pytest.mark.parametrize("answer", [0, 1, 2, 3, 4_999_999, 5_000_000])
+def test_box_bytes_search_is_logarithmic_and_exact(answer):
+    # need is monotone, so doubling then bisection finds the same largest
+    # fitting scale a climb from N = 1 would, in about 2 log2(answer) steps
+    calls = []
+
+    def need(N):
+        calls.append(N)
+        return linop.BLOCK_BYTES_BUDGET + (N > answer)
+
+    with pytest.raises(linop.OperatorTooLarge) as info:
+        linop.check_box_bytes(need, 10**7, "the grids")
+    assert str(info.value).endswith(f"fits is N = {answer}" if answer else "no box scale fits")
+    assert len(calls) <= 2 + 2 * max(answer, 1).bit_length()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
