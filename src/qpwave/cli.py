@@ -4,6 +4,8 @@ Subcommands: solve, sweep-lambda, greens, theta-sweep, bifurcation, evolve,
 verify.  Every artifact embeds the effective configuration; writes are
 atomic (temp file + rename); JSON floats use the shortest round-trip
 decimal, so storing a loaded canonical file reproduces it byte for byte.
+Flags laid over a --config file and a stored effective_config all go through
+ProblemConfig.from_json_dict, so an artifact's effective_config reruns its solve.
 
 Exit codes: 0 success, 1 usage error, 2 domain rejection (resonant
 frequency, non-convergence, an unstable step, failed verification, a box
@@ -61,18 +63,17 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=1) + "\n"
 
 
+# effective_config's keys that a solution document repeats at its top level
+_TOP_CONFIG_KEYS = ("d", "p", "a", "M", "jtilde", "lambda")
+
+
 def solution_to_json_dict(rec: SolutionRecord) -> dict:
     diag = dict(rec.diagnostics)
-    diag["effective_config"] = rec.config.to_json_dict()
+    diag["effective_config"] = cfg = rec.config.to_json_dict()
     diag["metadata"] = dict(rec.metadata)
     return {
         "schema": SCHEMA_VERSION,
-        "d": rec.config.d,
-        "p": rec.config.p,
-        "a": rec.config.a,
-        "M": rec.config.M,
-        "jtilde": list(rec.config.jtilde),
-        "lambda": list(rec.config.lam),
+        **{k: cfg[k] for k in _TOP_CONFIG_KEYS},
         "E": rec.E,
         "accepted": rec.accepted,
         "norm_convention": rec.metadata.get("norm_convention", lattice.NORM_CONVENTION),
@@ -86,12 +87,16 @@ def store_solution(rec: SolutionRecord, path: str):
     _atomic_write(path, _dump_json(solution_to_json_dict(rec)))
 
 
-def load_solution(path: str) -> SolutionRecord:
+def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CorruptFile(f"{path}: {exc}") from exc
+
+
+def load_solution(path: str) -> SolutionRecord:
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "schema" not in doc:
         raise CorruptFile(f"{path}: not a solution document")
     if doc["schema"] != SCHEMA_VERSION:
@@ -107,10 +112,11 @@ def load_solution(path: str) -> SolutionRecord:
             diagnostics=diag, accepted=bool(doc["accepted"]),
             metadata=dict(diag.get("metadata", {})),
         )
+        top = solution_to_json_dict(rec)
+        if any(doc[k] != top[k] for k in (*_TOP_CONFIG_KEYS, "norm_convention")):
+            raise CorruptFile(f"{path}: top-level config disagrees with the embedded one")
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(f"{path}: malformed field ({exc})") from exc
-    if doc["jtilde"] != list(cfg.jtilde) or doc["lambda"] != list(cfg.lam):
-        raise CorruptFile(f"{path}: top-level config disagrees with the embedded one")
     return rec
 
 
@@ -162,65 +168,32 @@ def _floats_csv(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
 
 
-_CONFIG_KEYS = {
-    "d": int, "p": int, "a": float, "jtilde": tuple, "lambda": tuple,
-    "M": int, "n_max": int, "max_steps": int, "residual_tol": float,
-    "drop_tol": float,
-}
-
-
 def _add_problem_flags(p: _Parser):
-    p.add_argument("--d", type=int, default=None, help="number of blocks (default 1)")
-    p.add_argument("--p", type=int, default=None, help="nonlinearity exponent (default 1)")
-    p.add_argument("--a", type=float, default=None, help="bifurcation amplitude (default 0.01)")
-    p.add_argument("--jtilde", type=_ints_csv, default=None,
-                   help="seed index, 2d comma-separated ints, e.g. 1,0")
-    p.add_argument("--lambda", dest="lam", type=_floats_csv, default=None,
-                   help="frequency vector, 2d comma-separated floats in (0.5,1.5)")
-    p.add_argument("--M", type=int, default=None, help="scale base (default 3)")
-    p.add_argument("--n-max", type=int, default=None, help="largest box scale (default 30 for d=1, 8 otherwise)")
-    p.add_argument("--max-steps", type=int, default=None, help="iteration cap (default 12)")
-    p.add_argument("--residual-tol", type=float, default=None, help="acceptance tolerance (default 1e-12)")
-    p.add_argument("--drop-tol", type=float, default=None, help="coefficient drop tolerance (default 1e-16)")
-    p.add_argument("--config", default=None, help="JSON file with the same keys; flags win")
+    """The configuration's flags, stored under effective_config's keys."""
+    flags = [
+        p.add_argument("--d", type=int, help="number of blocks (default 1)"),
+        p.add_argument("--p", type=int, help="nonlinearity exponent (default 1)"),
+        p.add_argument("--a", type=float, help="bifurcation amplitude (default 0.01)"),
+        p.add_argument("--jtilde", type=_ints_csv, help="seed index, 2d comma-separated ints, e.g. 1,0"),
+        p.add_argument("--lambda", dest="lambda", type=_floats_csv,
+                       help="frequency vector, 2d comma-separated floats in (0.5,1.5)"),
+        p.add_argument("--M", type=int, help="scale base (default 3)"),
+        p.add_argument("--n-max", dest="N_max", type=int,
+                       help="largest box scale (default 30 for d=1, 8 otherwise)"),
+        p.add_argument("--max-steps", type=int, help="iteration cap (default 12)"),
+        p.add_argument("--residual-tol", type=float, help="acceptance tolerance (default 1e-12)"),
+        p.add_argument("--drop-tol", type=float, help="coefficient drop tolerance (default 1e-16)"),
+    ]
+    p.add_argument("--config", help="JSON file with any of effective_config's keys; flags win")
+    p.set_defaults(config_keys=[f.dest for f in flags])
 
 
 def _build_config(args) -> ProblemConfig:
-    file_vals = {}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                file_vals = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CorruptFile(f"config file {args.config}: {exc}") from exc
-        unknown = set(file_vals) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    def pick(flag_val, key, default):
-        if flag_val is not None:
-            return flag_val
-        if key in file_vals:
-            v = file_vals[key]
-            return tuple(v) if isinstance(v, list) else v
-        return default
-
-    jtilde = pick(args.jtilde, "jtilde", None)
-    lam = pick(args.lam, "lambda", None)
-    if jtilde is None or lam is None:
-        raise ValueError("both --jtilde and --lambda are required (flag or config file)")
-    return ProblemConfig(
-        d=pick(args.d, "d", 1),
-        p=pick(args.p, "p", 1),
-        a=pick(args.a, "a", 0.01),
-        jtilde=jtilde,
-        lam=lam,
-        M=pick(args.M, "M", 3),
-        N_max=pick(args.n_max, "n_max", None),
-        max_steps=pick(args.max_steps, "max_steps", 12),
-        residual_tol=pick(args.residual_tol, "residual_tol", 1e-12),
-        drop_tol=pick(args.drop_tol, "drop_tol", 1e-16),
-    )
+    vals = _read_json(args.config) if args.config else {}
+    if not isinstance(vals, dict):
+        raise ValueError(f"config file {args.config}: expected a JSON object")
+    given = {k: getattr(args, k) for k in args.config_keys if getattr(args, k) is not None}
+    return ProblemConfig.from_json_dict({**vals, **given})
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +239,7 @@ def _cmd_greens(args) -> int:
     rec = load_solution(args.infile)
     theta = tuple(args.theta) if args.theta else None
     # the operator the Newton scheme inverts: box minus the pinned orbit
-    from .lattice import orbit
-
-    region = Region.box_minus(args.N, orbit(rec.config.jtilde))
+    region = Region.box_minus(args.N, lattice.orbit(rec.config.jtilde))
     T = linop.assemble(rec.u, rec.E, rec.config.lam, theta, region, rec.config.p)
     prof = linop.greens_profile(T)
     doc = _store_summary(os.path.join(args.out, "greens.json"), prof, rec.config)
@@ -367,16 +338,13 @@ def build_parser() -> _Parser:
     ap = _Parser(prog="qpwave", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, **kw):
-        return sub.add_parser(name, **kw)
-
-    ps = add("solve", help="construct one standing-wave solution")
+    ps = sub.add_parser("solve", help="construct one standing-wave solution")
     _add_problem_flags(ps)
     ps.add_argument("--force", action="store_true", help="skip the separation precheck")
     ps.add_argument("--out", required=True, help="output directory")
     ps.set_defaults(func=_cmd_solve)
 
-    pw = add("sweep-lambda", help="frequency acceptance sweep")
+    pw = sub.add_parser("sweep-lambda", help="frequency acceptance sweep")
     _add_problem_flags(pw)
     pw.add_argument("--n-samples", type=int, default=200, help="(default 200)")
     pw.add_argument("--seed", type=int, default=0, help="(default 0)")
@@ -387,14 +355,14 @@ def build_parser() -> _Parser:
     pw.add_argument("--out", required=True)
     pw.set_defaults(func=_cmd_sweep_lambda)
 
-    pg = add("greens", help="inverse-operator profile of a stored solution")
+    pg = sub.add_parser("greens", help="inverse-operator profile of a stored solution")
     pg.add_argument("--in", dest="infile", required=True)
     pg.add_argument("--N", type=int, default=diagnostics.GREENS_SCALE, help="box scale (default 16)")
     pg.add_argument("--theta", type=_floats_csv, default=None, help="d comma-separated shifts")
     pg.add_argument("--out", required=True)
     pg.set_defaults(func=_cmd_greens)
 
-    pt = add("theta-sweep", help="bad-fraction sweep of one shift axis")
+    pt = sub.add_parser("theta-sweep", help="bad-fraction sweep of one shift axis")
     pt.add_argument("--in", dest="infile", required=True)
     pt.add_argument("--N", type=int, default=12, help="box scale (default 12)")
     pt.add_argument("--axis", type=int, default=1, help="shift axis, 1-based (default 1)")
@@ -406,14 +374,14 @@ def build_parser() -> _Parser:
     pt.add_argument("--out", required=True)
     pt.set_defaults(func=_cmd_theta_sweep)
 
-    pb = add("bifurcation", help="amplitude scaling scan at fixed frequency")
+    pb = sub.add_parser("bifurcation", help="amplitude scaling scan at fixed frequency")
     _add_problem_flags(pb)
     pb.add_argument("--a-values", type=_floats_csv, required=True,
                     help="comma-separated amplitudes, >= 4 spanning >= 1.5 decades")
     pb.add_argument("--out", required=True)
     pb.set_defaults(func=_cmd_bifurcation)
 
-    pe = add("evolve", help="standing-wave evolution check of a stored solution")
+    pe = sub.add_parser("evolve", help="standing-wave evolution check of a stored solution")
     pe.add_argument("--in", dest="infile", required=True)
     pe.add_argument("--T", type=float, default=1.0, help="(default 1.0)")
     pe.add_argument("--dt", type=float, default=1e-3, help="(default 1e-3)")
@@ -422,7 +390,7 @@ def build_parser() -> _Parser:
     pe.add_argument("--out", required=True)
     pe.set_defaults(func=_cmd_evolve)
 
-    pv = add("verify", help="recheck a stored solution from the file alone")
+    pv = sub.add_parser("verify", help="recheck a stored solution from the file alone")
     pv.add_argument("--in", dest="infile", required=True)
     pv.set_defaults(func=_cmd_verify)
 

@@ -25,6 +25,9 @@ DIO_J_MAX = 50
 DIO_EXPONENT = 4.0
 DIO_MARGIN_MIN = 1e-6
 GREENS_SCALE = 16
+# Peak bytes per theta point of a theta-sweep command (284 B traced at N = 1,
+# 40001 points), mostly the CSV rows; the result arrays hold 17 B.
+THETA_POINT_BYTES = 288
 
 
 def separation_margin(lam: Frequency, jtilde: Index, N: int, a: float, p: int):
@@ -91,7 +94,8 @@ def theta_bad_fraction(u: QPSeries, E: float, lam: Frequency, N: int, axis: int,
                        grid_step: float, norm_threshold: float,
                        p: int = 1, jtilde=None) -> ThetaSweepResult:
     """Sweep one shift component over [-2, 2] (one covariance cell, with
-    room) holding the others at 0, and measure the bad fraction.
+    room) holding the others at 0, and measure the bad fraction.  Raises
+    OperatorTooLarge first if the grid may outgrow linop.BLOCK_BYTES_BUDGET.
 
     When jtilde is given, the operator is restricted to the box minus the
     pinned orbit (the space the Newton solves actually act on, where the
@@ -103,6 +107,12 @@ def theta_bad_fraction(u: QPSeries, E: float, lam: Frequency, N: int, axis: int,
         raise ValueError(f"axis must be in 1..{d}")
     if not 0 < grid_step < math.inf:
         raise ValueError(f"grid_step must be positive and finite, got {grid_step!r}")
+    points = 4.0 / grid_step + 2  # at least len(thetas); inf for a subnormal step
+    if points * THETA_POINT_BYTES > linop.BLOCK_BYTES_BUDGET:
+        raise linop.OperatorTooLarge(
+            f"{points:.3g} theta points at grid step {grid_step!r} may need more than the "
+            f"{linop.BLOCK_BYTES_BUDGET >> 20} MiB budget; the smallest grid step that fits is "
+            f"{4.0 / (linop.BLOCK_BYTES_BUDGET // THETA_POINT_BYTES - 2)!r}")
     if not norm_threshold > 0:
         raise ValueError(f"norm_threshold must be positive, got {norm_threshold!r}")
     if jtilde is None:

@@ -289,8 +289,8 @@ def evolve(C0: ComplexSeries, lam: Frequency, p: int, T: float, dt: float,
     rotation (a scheme sanity switch).  Raises StepUnstable when the l2
     norm grows more than 10% in one step.
     """
-    if not (0 < dt <= T < math.inf):
-        raise ValueError("need dt > 0 and a finite T >= dt")
+    if not (0 < dt <= T < math.inf and T / dt < math.inf):
+        raise ValueError("need dt > 0, a finite T >= dt and a finite step count T / dt")
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
     N = box.N

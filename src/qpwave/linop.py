@@ -62,8 +62,8 @@ _EPS = np.finfo(float).eps
 
 
 class OperatorTooLarge(Exception):
-    """A box is too large for memory: an operator's diagonal blocks, a site
-    list or an evolution's grids may outgrow BLOCK_BYTES_BUDGET."""
+    """Too large for memory: an operator's diagonal blocks, a site list, an
+    evolution's grids or a theta sweep's points may outgrow BLOCK_BYTES_BUDGET."""
 
 
 class SingularOperator(Exception):
@@ -391,29 +391,19 @@ def covariance_discrepancy(u: QPSeries, E: float, lam: Frequency, theta, j0: Ind
                            region: Region, p: int = 1) -> float:
     """Exactness of the lattice-translation / theta-shift identity.
 
-    Builds the operator's diagonal blocks on the region translated by j0 at
-    the given theta, and on the original region at theta shifted per block
-    by j0_k . lambda_k, and returns the max absolute entry difference over
-    the blocks (entries between blocks are exactly 0 in both).  The kernel
-    is shared by construction, so the discrepancy is purely the diagonal's
+    Assembles the operator on the region at theta shifted per block by
+    j0_k . lambda_k, and on the region's sites translated by j0 at the given
+    theta, and returns the max absolute entry difference over the diagonal
+    blocks (entries between blocks are exactly 0 in both).  The kernel is
+    the same in both, so the discrepancy is purely the diagonal's
     floating-point associativity (and is independent of E, which cancels
     identically).
     """
-    d = u.d
-    if theta is None:
-        theta = (0.0,) * d
-    base_sites = lattice.sites_array(region, d)
-    shifted_sites = base_sites + np.asarray(j0, dtype=np.int64)
-    kernel = kernel_series(u, p)
-    basis = lattice.hermite_basis(kernel.orbit_members()[0])
-    theta2 = tuple(
-        theta[k] + lattice.block_inner((j0[2 * k], j0[2 * k + 1]), (lam[2 * k], lam[2 * k + 1]))
-        for k in range(d)
-    )
-    diag1 = lattice.symbol_array(shifted_sites, lam, theta) - E
-    diag2 = lattice.symbol_array(base_sites, lam, theta2) - E
-    T1 = LinearizedOperator(shifted_sites, diag1, kernel, basis)
-    T2 = LinearizedOperator(base_sites, diag2, kernel, basis)
+    theta = (0.0,) * u.d if theta is None else theta
+    theta2 = tuple(theta[k] + lattice.block_inner(j0[2 * k:2 * k + 2], lam[2 * k:2 * k + 2])
+                   for k in range(u.d))
+    T2 = assemble(u, E, lam, theta2, region, p)
+    T1 = assemble(u, E, lam, theta, T2.sites + np.asarray(j0, dtype=np.int64), p)
     # a translation keeps the sites' lexicographic order and their coset
     # partition, so the two block lists pair up row for row
     return max(float(np.abs(A1 - A2).max())

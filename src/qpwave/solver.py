@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 from . import lattice
 from .lattice import Frequency, Index, Region, linf, nonzero_block_count, orbit, symbol
@@ -92,17 +93,41 @@ def _check_jtilde(jtilde: Index, d: int):
         )
 
 
-@dataclass(frozen=True)
-class ProblemConfig:
-    """Everything needed to reproduce one solve."""
+_JSON_KEY = {"lam": "lambda"}  # the one field stored under another name
 
-    d: int
-    p: int
-    a: float
+
+def _json_value(key: str, value, hint):
+    """value as the type hint of its field (int, float, a tuple of either,
+    or int | None, taken as int) when it has that JSON type: a bool is not
+    a number, an int may stand for a float.  Raises ValueError naming key."""
+    args = typing.get_args(hint)
+    item, many = args[0] if args else hint, typing.get_origin(hint) is tuple
+    values = value if many else [value]
+    if isinstance(value, (list, tuple)) == many and all(
+            isinstance(v, (int, item)) and not isinstance(v, bool) for v in values):
+        try:
+            typed = tuple(map(item, values))
+            return typed if many else typed[0]
+        except OverflowError:  # an int beyond the float range
+            pass
+    noun = "integer" if item is int else "number"
+    want = f"a list of JSON {noun}s" if many else f"a JSON {noun}"
+    raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ProblemConfig:
+    """Everything needed to reproduce one solve, and the one owner of the
+    configuration's keys (its field names, lam stored as "lambda"),
+    defaults and value types."""
+
+    d: int = 1
+    p: int = 1
+    a: float = 0.01
     jtilde: Index
     lam: Frequency
     M: int = 3
-    N_max: int | None = None
+    N_max: int | None = None  # 30 for d = 1, 8 otherwise
     max_steps: int = 12
     residual_tol: float = 1e-12
     drop_tol: float = 1e-16
@@ -135,21 +160,28 @@ class ProblemConfig:
         return orbit(self.jtilde)
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d, "p": self.p, "a": self.a,
-            "jtilde": list(self.jtilde), "lambda": list(self.lam),
-            "M": self.M, "N_max": self.N_max, "max_steps": self.max_steps,
-            "residual_tol": self.residual_tol, "drop_tol": self.drop_tol,
-        }
+        doc = {_JSON_KEY.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+        doc["jtilde"], doc["lambda"] = list(self.jtilde), list(self.lam)
+        return doc
 
-    @staticmethod
-    def from_json_dict(dd: dict) -> "ProblemConfig":
-        return ProblemConfig(
-            d=dd["d"], p=dd["p"], a=dd["a"], jtilde=tuple(dd["jtilde"]),
-            lam=tuple(dd["lambda"]), M=dd["M"], N_max=dd["N_max"],
-            max_steps=dd["max_steps"], residual_tol=dd["residual_tol"],
-            drop_tol=dd["drop_tol"],
-        )
+    @classmethod
+    def from_json_dict(cls, dd: dict) -> "ProblemConfig":
+        """The configuration of a JSON object holding any subset of
+        to_json_dict's keys that includes jtilde and lambda; the others take
+        their defaults.  Raises ValueError on an unknown or missing key or a
+        value of the wrong JSON type."""
+        named = {_JSON_KEY.get(f.name, f.name): f for f in fields(cls)}
+        unknown = sorted(set(dd) - set(named))
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
+        missing = [k for k, f in named.items() if f.default is MISSING and k not in dd]
+        if missing:
+            raise ValueError(f"missing config keys: {missing}")
+        return cls(**{named[k].name: _json_value(k, v, _FIELD_HINTS[named[k].name])
+                      for k, v in dd.items()})
+
+
+_FIELD_HINTS = typing.get_type_hints(ProblemConfig)  # resolved once: each takes an eval
 
 
 @dataclass(frozen=True)
@@ -204,7 +236,6 @@ class SolutionRecord:
 
 def initial_guess(cfg: ProblemConfig) -> tuple[QPSeries, float]:
     """Seed pair: pinned amplitudes on the resonant orbit, linear eigenvalue."""
-    _check_jtilde(cfg.jtilde, cfg.d)
     if cfg.a == 0.0:
         return QPSeries.zero(cfg.d), symbol(cfg.jtilde, cfg.lam)
     return QPSeries.delta(cfg.d, cfg.pin_value, cfg.jtilde), symbol(cfg.jtilde, cfg.lam)

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import GOOD_JT, GOOD_LAM, count_convolutions
+from helpers import GOOD_JT, GOOD_LAM, GOOD_LAM_D2, count_convolutions
 from qpwave import cli, diagnostics, dynamics, lattice, linop, solver
 from qpwave.cli import CorruptFile, SchemaVersionMismatch, load_solution, store_solution
 from qpwave.solver import ProblemConfig, solve
@@ -523,4 +523,112 @@ def test_evolve_rejects_a_huge_box_scale_quickly(tmp_path, capsys, stored_soluti
     basis = dynamics.ComplexSeries.from_profile(load_solution(stored_solution).u).basis()
     assert (dynamics._evolve_bytes(basis, 1, fits) <= linop.BLOCK_BYTES_BUDGET
             < dynamics._evolve_bytes(basis, 1, fits + 1))
+    assert not (tmp_path / "evolve").exists()
+
+
+D2_P2_SOLVE = ["solve", "--d", "2", "--M", "2", "--force", "--jtilde", "1,0,0,1", "--p", "2",
+               "--a", "0.05", "--lambda", ",".join(map(repr, GOOD_LAM_D2))]
+
+
+@pytest.mark.parametrize("argv", [solve_args("")[:-2], D2_P2_SOLVE], ids=["d1", "d2-p2"])
+def test_effective_config_reruns_its_solve(tmp_path, argv):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert cli.main([*argv, "--out", str(first)]) == 0
+    doc = json.loads((first / "solution.json").read_text())
+    config = doc["diagnostics"]["effective_config"]
+    assert list(config) == ["d", "p", "a", "jtilde", "lambda", "M", "N_max", "max_steps",
+                            "residual_tol", "drop_tol"]
+    cfg_file = tmp_path / "effective_config.json"
+    cfg_file.write_text(json.dumps(config))
+    assert cli.main(["solve", "--config", str(cfg_file), "--out", str(again)]) == 0
+    rerun = json.loads((again / "solution.json").read_text())
+    assert rerun["coeffs"] == doc["coeffs"] and rerun["E"] == doc["E"]
+    assert rerun["diagnostics"]["effective_config"] == config
+
+
+BASE_CONFIG = {"jtilde": list(GOOD_JT), "lambda": list(GOOD_LAM)}
+
+
+@pytest.mark.parametrize("config, key", [
+    ({**BASE_CONFIG, "d": "1"}, "'d'"),
+    ({**BASE_CONFIG, "p": True}, "'p'"),
+    ({**BASE_CONFIG, "jtilde": 5}, "'jtilde'"),
+    ({**BASE_CONFIG, "jtilde": [1, 1.5]}, "'jtilde'"),
+    ({**BASE_CONFIG, "lambda": [GOOD_LAM[0], "1.4"]}, "'lambda'"),
+    ([1, 2], "JSON object"),
+    ({**BASE_CONFIG, "bogus": 7}, "'bogus'"),
+    ({**BASE_CONFIG, "n_max": 8}, "'n_max'"),  # the key is N_max, as in effective_config
+    ({"jtilde": list(GOOD_JT)}, "'lambda'"),
+], ids=["string-d", "bool-p", "scalar-jtilde", "float-in-jtilde", "string-in-lambda",
+        "array-file", "unknown-key", "n_max", "missing-lambda"])
+def test_bad_config_file_is_one_usage_error(tmp_path, capsys, config, key):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert cli.main(["solve", "--config", str(cfg_file), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+    assert not (tmp_path / "run").exists()
+
+
+def test_stored_config_of_the_wrong_type_is_corrupt(tmp_path, capsys, stored_solution):
+    doc = json.loads(open(stored_solution).read())
+    doc["diagnostics"]["effective_config"]["p"] = "1"
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptFile, match="config key 'p'"):
+        load_solution(str(path))
+    assert cli.main(["verify", "--in", str(path)]) == 2
+
+
+SOLUTION_KEYS = ["schema", "d", "p", "a", "M", "jtilde", "lambda", "E", "accepted",
+                 "norm_convention", "coeffs", "trace", "diagnostics"]
+
+
+@pytest.mark.parametrize("key", SOLUTION_KEYS)
+def test_a_missing_top_level_key_is_a_corrupt_file(tmp_path, capsys, stored_solution, key):
+    doc = json.loads(open(stored_solution).read())
+    assert list(doc) == SOLUTION_KEYS
+    del doc[key]
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps(doc))
+    for command, extra, code, prefix in (
+            ("verify", [], 2, "verify failed:"),
+            ("greens", ["--N", "4", "--out", str(tmp_path / "greens")], 1, "error:"),
+            ("evolve", ["--T", "0.002", "--out", str(tmp_path / "evolve")], 1, "error:")):
+        capsys.readouterr()
+        assert cli.main([command, "--in", str(path), *extra]) == code
+        assert capsys.readouterr().err.startswith(prefix)
+    assert not (tmp_path / "greens").exists() and not (tmp_path / "evolve").exists()
+
+
+def test_theta_sweep_rejects_a_tiny_grid_step_quickly(tmp_path, capsys, stored_solution):
+    start = time.perf_counter()
+    code = cli.main(["theta-sweep", "--in", stored_solution, "--N", "1",
+                     "--grid-step", "1e-9", "--out", str(tmp_path / "theta")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected:") and "the smallest grid step that fits is " in err
+    assert not (tmp_path / "theta").exists()
+
+
+def test_theta_grid_bound_names_the_smallest_step_that_fits(tmp_path, capsys, monkeypatch,
+                                                            stored_solution):
+    # a budget of 50 points: the named step runs, a step 1 % finer does not
+    monkeypatch.setattr(linop, "BLOCK_BYTES_BUDGET", 50 * diagnostics.THETA_POINT_BYTES)
+    base = ["theta-sweep", "--in", stored_solution, "--N", "1", "--out", str(tmp_path / "theta")]
+    assert cli.main([*base, "--grid-step", "0.01"]) == 2
+    step = float(capsys.readouterr().err.split("the smallest grid step that fits is ")[1])
+    assert cli.main([*base, "--grid-step", repr(step)]) == 0
+    assert len((tmp_path / "theta" / "theta_sweep.csv").read_text().splitlines()) == 1 + 49
+    assert cli.main([*base, "--grid-step", repr(0.99 * step)]) == 2
+
+
+def test_evolve_rejects_an_overflowing_step_count(tmp_path, capsys, stored_solution):
+    capsys.readouterr()
+    code = cli.main(["evolve", "--in", stored_solution, "--T", "1e300", "--dt", "1e-300",
+                     "--out", str(tmp_path / "evolve")])
+    assert code == 1
+    assert "finite step count" in capsys.readouterr().err
     assert not (tmp_path / "evolve").exists()

@@ -188,6 +188,28 @@ def test_covariance_discrepancy_independent_of_E():
     assert d1 == d2
 
 
+def test_covariance_discrepancy_matches_directly_built_blocks():
+    # the two operators built from their sites and diagonals directly, as
+    # assemble builds them: the discrepancy must agree bit for bit
+    rng = np.random.default_rng(5)
+    for d, lam, N, theta, j0 in ((1, GOOD_LAM, 3, (0.1,), (2, -1)),
+                                 (2, D2_LAM, 2, (0.4, -0.7), (3, -1, 2, 5))):
+        u = random_symmetric_series(d, rng, n_orbits=3, box_n=2, scale=0.3)
+        kernel = kernel_series(u, 1)
+        basis = lattice.hermite_basis(kernel.orbit_members()[0])
+        base = lattice.sites_array(Region.full_box(N), d)
+        shifted = base + np.asarray(j0, dtype=np.int64)
+        theta2 = tuple(theta[k] + lattice.block_inner(j0[2 * k:2 * k + 2], lam[2 * k:2 * k + 2])
+                       for k in range(d))
+        T1 = LinearizedOperator(shifted, lattice.symbol_array(shifted, lam, theta) - 0.3,
+                                kernel, basis)
+        T2 = LinearizedOperator(base, lattice.symbol_array(base, lam, theta2) - 0.3, kernel, basis)
+        want = max(float(np.abs(A1 - A2).max())
+                   for (_, A1), (_, A2) in zip(T1.blocks(), T2.blocks()))
+        assert want > 0.0
+        assert covariance_discrepancy(u, 0.3, lam, theta, j0, Region.full_box(N)) == want
+
+
 def test_greens_profile_diagonal_case():
     E = -0.25
     T = assemble(QPSeries.zero(1), E, GOOD_LAM, None, Region.full_box(4), p=1)

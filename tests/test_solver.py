@@ -59,6 +59,19 @@ def test_config_default_box_scales():
     assert ProblemConfig(d=2, p=1, a=0.01, jtilde=(1, 0, 0, 1), lam=D2_LAM).N_max == 8
 
 
+def test_config_json_round_trip_and_defaults():
+    cfg = good_cfg(p=2, M=4, N_max=9, residual_tol=1e-11)
+    assert ProblemConfig.from_json_dict(cfg.to_json_dict()) == cfg
+    least = {"jtilde": list(GOOD_JT), "lambda": list(GOOD_LAM)}
+    assert ProblemConfig.from_json_dict(least) == ProblemConfig(jtilde=GOOD_JT, lam=GOOD_LAM)
+    # an int stands for a float and is stored as one
+    assert ProblemConfig.from_json_dict({**least, "a": 0}).to_json_dict()["a"] == 0.0
+    with pytest.raises(ValueError, match="config key 'a'"):
+        ProblemConfig.from_json_dict({**least, "a": 10 ** 400})
+    with pytest.raises(ValueError, match="missing config keys: \\['jtilde'\\]"):
+        ProblemConfig.from_json_dict({"lambda": list(GOOD_LAM)})
+
+
 def test_initial_guess_nondegenerate_d2():
     cfg = ProblemConfig(d=2, p=1, a=0.02, jtilde=(1, 0, 0, 1), lam=D2_LAM)
     u0, E0 = initial_guess(cfg)
