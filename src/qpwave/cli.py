@@ -16,6 +16,7 @@ to exit 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -45,13 +46,16 @@ class CorruptFile(Exception):
 # ---------------------------------------------------------------------------
 # persistence
 
-def _atomic_write(path: str, text: str):
+@contextlib.contextmanager
+def _atomic_write(path: str):
+    """A text handle on a temp file that replaces path when the block ends
+    without an exception, and is deleted otherwise."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -59,8 +63,9 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=1) + "\n"
+def _write_json(path: str, obj):
+    with _atomic_write(path) as fh:
+        fh.write(json.dumps(obj, indent=1) + "\n")
 
 
 # effective_config's keys that a solution document repeats at its top level
@@ -84,7 +89,7 @@ def solution_to_json_dict(rec: SolutionRecord) -> dict:
 
 
 def store_solution(rec: SolutionRecord, path: str):
-    _atomic_write(path, _dump_json(solution_to_json_dict(rec)))
+    _write_json(path, solution_to_json_dict(rec))
 
 
 def _read_json(path: str):
@@ -121,14 +126,12 @@ def load_solution(path: str) -> SolutionRecord:
 
 
 def _write_csv(path: str, header, rows):
-    import io
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([repr(x) if isinstance(x, float) else x for x in row])
-    _atomic_write(path, buf.getvalue())
+    """Write header and rows, floats as repr, one row at a time."""
+    with _atomic_write(path) as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(x) if isinstance(x, float) else x for x in row])
 
 
 def store_trace_csv(rec: SolutionRecord, path: str):
@@ -141,7 +144,7 @@ def _store_summary(path: str, result, cfg: ProblemConfig, **extra) -> dict:
     """Write result's JSON summary, then the effective configuration, then
     extra keys; returns the document."""
     doc = {**result.to_json_dict(), "effective_config": cfg.to_json_dict(), **extra}
-    _atomic_write(path, _dump_json(doc))
+    _write_json(path, doc)
     return doc
 
 
@@ -219,7 +222,7 @@ def _cmd_sweep_lambda(args) -> int:
     cfg = _build_config(args)
     report = diagnostics.lambda_sweep(cfg, args.n_samples, args.seed,
                                       sep_N=args.sep_n, greens_N=args.greens_n)
-    _atomic_write(os.path.join(args.out, "report.json"), _dump_json(report.to_json_dict()))
+    _write_json(os.path.join(args.out, "report.json"), report.to_json_dict())
     lam_cols = [f"lambda_{i}" for i in range(2 * cfg.d)]
     _write_csv(
         os.path.join(args.out, "samples.csv"),
@@ -242,7 +245,7 @@ def _cmd_greens(args) -> int:
     region = Region.box_minus(args.N, lattice.orbit(rec.config.jtilde))
     T = linop.assemble(rec.u, rec.E, rec.config.lam, theta, region, rec.config.p)
     prof = linop.greens_profile(T)
-    doc = _store_summary(os.path.join(args.out, "greens.json"), prof, rec.config)
+    doc = _store_summary(os.path.join(args.out, "greens.json"), prof, rec.config, theta=theta)
     print(f"op_norm_inverse={prof.op_norm_inverse!r} beta={doc['beta']!r} "
           f"fit_rms={doc['fit_rms']!r}")
     return 0
@@ -264,8 +267,7 @@ def _cmd_theta_sweep(args) -> int:
     _store_summary(os.path.join(args.out, "theta_sweep.json"), res, rec.config)
     _write_csv(os.path.join(args.out, "theta_sweep.csv"),
                ["theta", "inv_norm", "bad"],
-               [(float(t), float(v), bool(b))
-                for t, v, b in zip(res.thetas, res.inv_norms, res.bad)])
+               ((float(t), float(v), bool(b)) for t, v, b in zip(res.thetas, res.inv_norms, res.bad)))
     print(f"bad_fraction={res.bad_fraction!r} threshold={threshold!r}")
     return 0
 
@@ -290,7 +292,8 @@ def _cmd_evolve(args) -> int:
     C0 = dynamics.ComplexSeries.from_profile(rec.u)
     res = dynamics.evolve(C0, rec.config.lam, rec.config.p, args.T, args.dt, box,
                           checkpoint_every=args.checkpoint_every, phase_reference=rec.E)
-    _store_summary(os.path.join(args.out, "evolve.json"), res, rec.config, T=args.T, dt=args.dt)
+    _store_summary(os.path.join(args.out, "evolve.json"), res, rec.config, T=args.T, dt=args.dt,
+                   N=box.N, checkpoint_every=args.checkpoint_every)
     mass0 = res.mass[0] if len(res.mass) else 1.0
     _write_csv(os.path.join(args.out, "trajectory.csv"),
                ["t", "deviation", "mass_drift", "out_of_box_mass"],

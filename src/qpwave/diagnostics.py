@@ -25,9 +25,10 @@ DIO_J_MAX = 50
 DIO_EXPONENT = 4.0
 DIO_MARGIN_MIN = 1e-6
 GREENS_SCALE = 16
-# Peak bytes per theta point of a theta-sweep command (284 B traced at N = 1,
-# 40001 points), mostly the CSV rows; the result arrays hold 17 B.
-THETA_POINT_BYTES = 288
+# Peak bytes per theta point of a theta-sweep command (21.4 B traced at
+# N = 1, 40001 points): the result arrays hold 17 B, and the CSV rows are
+# streamed to the file.
+THETA_POINT_BYTES = 24
 
 
 def separation_margin(lam: Frequency, jtilde: Index, N: int, a: float, p: int):

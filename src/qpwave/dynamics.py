@@ -1,6 +1,7 @@
 """Desk-scale time evolution of the truncated equation on the index lattice.
 
-The evolution state is a complex coefficient map C(j); the flow is
+The evolution state is a ComplexSeries, complex coefficients C(j) held as
+arrays of sites and values; the flow is
 
     i dC(j)/dt = symbol(j, lambda) C(j) - [C^(*(p+1)) * (Cbar)^(*p)](j),
 
@@ -10,19 +11,23 @@ linear part is diagonal in this basis, so the integrator is a Lawson
 (integrating-factor) fourth-order Runge-Kutta scheme with exact linear
 phases between stages; stiffness of the diagonal never limits the step.
 
-The flow never leaves the lattice spanned by the initial state's support:
-the linear part is diagonal, and every site of the nonlinear term is a
-signed sum of 2p+1 sites of the state.  So the state is stored on that
-lattice's coordinates: with H its row Hermite basis (lattice.hermite_basis,
-r x 2d, r the rank), site j = m @ H for m in Z^r.  An even seed's solution
-has r = d; a generic full-rank support gives r = 2d and the whole box.  The
-box's lattice points lie in the rectangle |m_i| <= h_i (_half_widths, in
-closed form from H's pivots), and a mask keeps those inside the box.
+The flow never leaves the affine coset s0 + L that holds the initial
+state's support, L the lattice spanned by the differences of its sites: the
+linear part is diagonal, and every site of the nonlinear term is a sum of
+p+1 sites of the state minus p others, so s0 plus a signed sum of
+differences.  So the state is stored on that coset's coordinates: with s0 a
+support site of least |.|inf and H the row Hermite basis of the differences
+(lattice.hermite_basis, r x 2d, r the rank), site j = s0 + m @ H for m in
+Z^r.  An even seed's solution sits on the odd multiples of its blocks, so
+r = d and H has even pivots; a generic support gives r = 2d.  The box's
+coset points lie in the rectangle |m_i| <= h_i (_half_widths, in closed
+form from H's pivots), and a mask keeps those inside the box.
 
-The nonlinear term is pseudo-spectral.  In m the convolution is that of
-Z^r, so the term is one inverse FFT on T^r, the pointwise product
-|f|^(2p) f and one forward FFT.  The product of a state of half-widths
-h_in has half-widths (2p+1) h_in, so a period
+The nonlinear term is pseudo-spectral.  The field is e^(i s0.x) times a
+field h with coefficients on Z^r, and |e^(i s0.x) h|^(2p) e^(i s0.x) h =
+e^(i s0.x) |h|^(2p) h, so in m the term is one inverse FFT on T^r, the
+pointwise product |h|^(2p) h and one forward FFT.  The product of a state of
+half-widths h_in has half-widths (2p+1) h_in, so a period
 L_i >= (2p+1) h_in_i + h_out_i + 1 on each axis keeps the crop at h_out
 alias-free (Orszag's padding rule).
 
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .lattice import Frequency, Index, Region
+from .lattice import Frequency, Region
 from .linop import check_box_bytes
 from .series import QPSeries
 from .solver import SolutionRecord
@@ -61,15 +66,17 @@ def next_fast_len(n: int) -> int:
     return best
 
 
-def _half_widths(basis: np.ndarray, N: int) -> tuple[int, ...]:
+def _half_widths(coset, N: int) -> tuple[int, ...]:
     """Half-widths h of a rectangle |m_i| <= h_i of coordinates holding every
-    point of the box of scale N on the lattice spanned by basis
-    (hermite_basis): at row i's pivot c, m @ basis is m_i * pivot plus the
-    earlier rows' entries there, so |m_i| * pivot <= N + sum_k<i h_k |basis[k, c]|."""
+    point s0 + m @ H of the coset (ComplexSeries.coset) in the box of scale
+    N: there |m @ H|inf <= N + |s0|inf, and at row i's pivot c, m @ H is
+    m_i * pivot plus the earlier rows' entries there, so
+    |m_i| * pivot <= N + |s0|inf + sum_k<i h_k |H[k, c]|."""
+    s0, basis = coset
     half: list[int] = []
     for row in basis:
         c = np.flatnonzero(row)[0]
-        reach = N + sum(h * abs(int(b)) for h, b in zip(half, basis[:, c]))
+        reach = N + int(np.abs(s0).max()) + sum(h * abs(int(b)) for h, b in zip(half, basis[:, c]))
         half.append(reach // int(row[c]))
     return tuple(half)
 
@@ -89,18 +96,18 @@ def _positions(m: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return (m + np.array([n // 2 for n in shape], dtype=np.int64)) @ strides
 
 
-def _grid_sites(basis: np.ndarray, half) -> np.ndarray:
-    """Site m @ basis of every point of the rectangle |m_i| <= half_i, in
+def _grid_sites(coset, half) -> np.ndarray:
+    """Site s0 + m @ H of every point of the rectangle |m_i| <= half_i, in
     C order: an (n, 2d) int64 array."""
+    s0, basis = coset
     shape = tuple(2 * h + 1 for h in half)
-    return _coordinates(np.arange(math.prod(shape)), shape) @ basis
+    return s0 + _coordinates(np.arange(math.prod(shape)), shape) @ basis
 
 
-def _in_box(basis: np.ndarray, half, N: int) -> np.ndarray:
-    """Mask of the rectangle |m_i| <= half_i: True where m @ basis lies in
-    the box of scale N."""
-    inside = Region.full_box(N).contains_array(_grid_sites(basis, half))
-    return inside.reshape(tuple(2 * h + 1 for h in half))
+def _in_box(coset, half, region: Region) -> np.ndarray:
+    """Mask of the rectangle |m_i| <= half_i: True where s0 + m @ H lies in
+    region."""
+    return region.contains_array(_grid_sites(coset, half)).reshape(tuple(2 * h + 1 for h in half))
 
 
 class StepUnstable(Exception):
@@ -110,79 +117,55 @@ class StepUnstable(Exception):
 class ComplexSeries:
     """Finite complex coefficient map on Z^(2d); represents a complex field.
 
-    The represented field is real iff coeffs(-j) == conj(coeffs(j)).
+    sites is an (n, 2d) int64 array of distinct sites and vals the (n,)
+    complex values, as in QPSeries but on every site rather than on orbit
+    representatives.  The represented field is real iff C(-j) == conj(C(j)).
     """
 
-    __slots__ = ("d", "coeffs")
+    __slots__ = ("d", "sites", "vals")
 
-    def __init__(self, d: int, coeffs: dict[Index, complex] | None = None):
+    def __init__(self, d: int, sites, vals):
         self.d = d
-        self.coeffs = {j: complex(v) for j, v in (coeffs or {}).items()}
-        for j in self.coeffs:
-            if len(j) != 2 * d:
-                raise ValueError(f"site {j} has {len(j)} coordinates, expected {2 * d}")
+        self.sites = np.asarray(sites, dtype=np.int64).reshape(-1, 2 * d)
+        self.vals = np.asarray(vals, dtype=complex)
 
     @staticmethod
     def from_profile(u: QPSeries) -> "ComplexSeries":
-        return ComplexSeries(u.d, {j: complex(v) for j, v in u.coeffs.items()})
-
-    def get(self, j: Index) -> complex:
-        return self.coeffs.get(j, 0j)
+        return ComplexSeries(u.d, *u.orbit_members())
 
     def support_radius(self) -> int:
-        return max((lattice.linf(j) for j in self.coeffs), default=0)
+        return int(np.abs(self.sites).max(initial=0))
 
-    def l2_norm(self) -> float:
-        return math.sqrt(math.fsum(abs(v) ** 2 for _, v in sorted(self.coeffs.items())))
+    def coset(self) -> tuple[np.ndarray, np.ndarray]:
+        """(s0, H): a site s0 of least |.|inf (the origin when there is none)
+        and the row Hermite basis H of the sites' differences from it, so
+        that every site is s0 + m @ H."""
+        radii = np.abs(self.sites).max(axis=1)
+        s0 = self.sites[np.argmin(radii)] if len(radii) else np.zeros(2 * self.d, dtype=np.int64)
+        return s0, lattice.hermite_basis(self.sites - s0)
 
-    def reality_defect(self) -> float:
-        """max |C(-j) - conj(C(j))|; zero iff the represented field is real.
-
-        This is a property of one time slice; the flow does not preserve it
-        (free evolution rotates every mode's phase).
-        """
-        worst = 0.0
-        for j, v in self.coeffs.items():
-            neg = tuple(-c for c in j)
-            worst = max(worst, abs(self.coeffs.get(neg, 0j) - v.conjugate()))
-        return worst
-
-    def evenness_defect(self) -> float:
-        """max |C(sigma j) - C(j)| over per-block sign flips: the even
-        subspace is invariant under the flow, so this stays at rounding."""
-        worst = 0.0
-        for j, v in self.coeffs.items():
-            for member in lattice.orbit(j):
-                worst = max(worst, abs(self.coeffs.get(member, 0j) - v))
-        return worst
-
-    def basis(self) -> np.ndarray:
-        """Row Hermite basis of the lattice spanned by the support."""
-        sites = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, 2 * self.d)
-        return lattice.hermite_basis(sites)
-
-    def to_grid(self, basis: np.ndarray, N: int) -> np.ndarray:
-        """Dense complex array over the rectangle _half_widths(basis, N) of
-        coordinates m, the site m @ basis at position m + h; sites outside
-        the box of scale N are dropped, and a site off the lattice spanned by
-        basis is a ValueError."""
-        kept = {j: v for j, v in self.coeffs.items() if lattice.linf(j) <= N}
-        m, rest = lattice.lattice_reduce(np.array(list(kept), dtype=np.int64).reshape(-1, 2 * self.d),
-                                         basis)
+    def to_grid(self, coset, N: int) -> np.ndarray:
+        """Dense complex array over the rectangle _half_widths(coset, N) of
+        coordinates m, the site s0 + m @ H at position m + h; sites outside
+        the box of scale N are dropped, and a site off the coset is a
+        ValueError."""
+        s0, basis = coset
+        keep = np.abs(self.sites).max(axis=1, initial=0) <= N
+        m, rest = lattice.lattice_reduce(self.sites[keep] - s0, basis)
         if rest.any():
-            raise ValueError("a site lies off the lattice spanned by the basis")
-        g = np.zeros(tuple(2 * h + 1 for h in _half_widths(basis, N)), dtype=complex)
-        g.reshape(-1)[_positions(m, g.shape)] = list(kept.values())
+            raise ValueError("a site lies off the coset")
+        g = np.zeros(tuple(2 * h + 1 for h in _half_widths(coset, N)), dtype=complex)
+        g.reshape(-1)[_positions(m, g.shape)] = self.vals[keep]
         return g
 
     @staticmethod
-    def from_grid(grid: np.ndarray, basis: np.ndarray, drop_tol: float = 0.0) -> "ComplexSeries":
+    def from_grid(grid: np.ndarray, coset, drop_tol: float = 0.0) -> "ComplexSeries":
         """The entries of a to_grid array above drop_tol in modulus, at their
-        sites m @ basis."""
+        sites s0 + m @ H."""
+        s0, basis = coset
         flat = np.flatnonzero(np.abs(grid) > drop_tol)
-        sites = _coordinates(flat, grid.shape) @ basis
-        return ComplexSeries(basis.shape[1] // 2,
-                             dict(zip(map(tuple, sites.tolist()), grid.reshape(-1)[flat].tolist())))
+        return ComplexSeries(len(s0) // 2, s0 + _coordinates(flat, grid.shape) @ basis,
+                             grid.reshape(-1)[flat])
 
 
 def _periods(half_in, half_out, p: int) -> list[int]:
@@ -222,13 +205,13 @@ def _out_of_box_fraction(grid: np.ndarray, p: int, plan, inside: np.ndarray) -> 
     return float(np.linalg.norm(full)) / total if total > 0.0 else 0.0
 
 
-def _evolve_bytes(basis: np.ndarray, p: int, N: int) -> int:
+def _evolve_bytes(coset, p: int, N: int) -> int:
     """Bytes of the complex grids evolve may hold at once on the box of scale
     N: twelve of the state's rectangle (the state, its reference copy, two
     phase arrays, four RK4 stages, a stage input and the update's
     temporaries) and two of the out-of-box period (the padded grid and its
     FFT output), which is longer on every axis than a stage's period."""
-    half = _half_widths(basis, N)
+    half = _half_widths(coset, N)
     wide = [(2 * p + 1) * h for h in half]
     return 16 * (12 * math.prod(2 * h + 1 for h in half) + 2 * math.prod(_periods(half, wide, p)))
 
@@ -239,20 +222,16 @@ def nonlinear_term(C: ComplexSeries, p: int, box: Region) -> ComplexSeries:
     power of the conjugate-reflected series.
 
     Entries below the FFT rounding floor (relative 1e-13 of the peak) are
-    dropped; the sparse-accumulation path would produce exact zeros there.
+    dropped: the FFTs leave rounding at sites the exact sums do not reach.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    basis = C.basis()
-    half = _half_widths(basis, box.N)
-    grid = C.to_grid(basis, max(C.support_radius(), 1))
+    coset = C.coset()
+    half = _half_widths(coset, box.N)
+    grid = C.to_grid(coset, C.support_radius())
     crop = _nonlinear_grid(grid, p, _fft_plan([n // 2 for n in grid.shape], half, p))
-    crop[~_in_box(basis, half, box.N)] = 0.0
-    floor = 1e-13 * float(np.max(np.abs(crop)))
-    out = ComplexSeries.from_grid(crop, basis, drop_tol=floor)
-    if box.kind != lattice.FULL_BOX:
-        out = ComplexSeries(C.d, {j: v for j, v in out.coeffs.items() if box.contains(j)})
-    return out
+    crop[~_in_box(coset, half, box)] = 0.0
+    return ComplexSeries.from_grid(crop, coset, drop_tol=1e-13 * float(np.max(np.abs(crop))))
 
 
 @dataclass
@@ -293,20 +272,19 @@ def evolve(C0: ComplexSeries, lam: Frequency, p: int, T: float, dt: float,
         raise ValueError("need dt > 0, a finite T >= dt and a finite step count T / dt")
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
-    N = box.N
-    basis = C0.basis()
-    check_box_bytes(lambda n: _evolve_bytes(basis, p, n), N, "the evolution grids")
-    half = _half_widths(basis, N)
-    state = C0.to_grid(basis, N)
+    N, coset, full_box = box.N, C0.coset(), Region.full_box(box.N)
+    check_box_bytes(lambda n: _evolve_bytes(coset, p, n), N, "the evolution grids")
+    half = _half_widths(coset, N)
+    state = C0.to_grid(coset, N)
     n_steps = int(round(T / dt))
 
-    outside = ~_in_box(basis, half, N)
-    omega = lattice.symbol_array(_grid_sites(basis, half), lam).reshape(state.shape)
+    outside = ~_in_box(coset, half, full_box)
+    omega = lattice.symbol_array(_grid_sites(coset, half), lam).reshape(state.shape)
     e_half = np.exp(-1j * omega * (dt / 2.0))
     e_full = e_half * e_half
     wide = [(2 * p + 1) * h for h in half]
     stage_plan, wide_plan = _fft_plan(half, half, p), _fft_plan(half, wide, p)
-    wide_in_box = _in_box(basis, wide, N) if nonlinear else None
+    wide_in_box = _in_box(coset, wide, full_box) if nonlinear else None
 
     ref0 = state.copy() if phase_reference is not None else None
     mass0 = float(np.linalg.norm(state))
@@ -352,7 +330,7 @@ def evolve(C0: ComplexSeries, lam: Frequency, p: int, T: float, dt: float,
     devs_arr = np.array(devs)
     max_dev = float(np.nanmax(devs_arr)) if phase_reference is not None else math.nan
     return EvolveResult(
-        final=ComplexSeries.from_grid(state, basis),
+        final=ComplexSeries.from_grid(state, coset),
         times=np.array(times), mass=masses_arr, deviation=devs_arr,
         out_of_box=np.array(oob), mass_drift=drift,
         max_deviation=max_dev, max_out_of_box=max(oob),
@@ -367,9 +345,6 @@ def standing_wave_deviation(rec: SolutionRecord, T: float, dt: float,
         raise ValueError("standing_wave_deviation needs an accepted solution record")
     if box is None:
         box = Region.full_box(rec.config.N_max)
-    C0 = ComplexSeries.from_profile(rec.u)
-    if C0.support_radius() == 0 and not C0.coeffs:
-        return 0.0
-    res = evolve(C0, rec.config.lam, rec.config.p, T, dt, box,
+    res = evolve(ComplexSeries.from_profile(rec.u), rec.config.lam, rec.config.p, T, dt, box,
                  checkpoint_every=checkpoint_every, phase_reference=rec.E)
     return res.max_deviation

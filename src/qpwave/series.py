@@ -13,7 +13,8 @@ physical-space evaluation.
 
 One routine, QPSeries.orbit_members, expands a series to every orbit
 member in lexicographic order; it alone feeds convolve, the kernel-offset
-loop of operator assembly and the read-only coeffs view.  Convolutions are
+loops of operator assembly, the evolution state (dynamics.ComplexSeries
+.from_profile) and the read-only coeffs view.  Convolutions are
 computed by direct sparse accumulation on integer site arrays: every pair
 of member sites, (sorted A) x (sorted B), whose sum is canonical
 contributes its product, and each canonical value is a bincount in that
@@ -95,7 +96,8 @@ class QPSeries:
 
     @property
     def coeffs(self) -> MappingProxyType:
-        """Read-only {site: value} map over every orbit member."""
+        """Read-only {site: value} map over every orbit member, a view for
+        inspection: the package's own code reads orbit_members."""
         members, vals = self.orbit_members()
         return MappingProxyType(dict(zip(map(tuple, members.tolist()), vals.tolist())))
 

@@ -8,7 +8,8 @@ to them bit for bit; dense_greens_profile is a dense all-pairs Green's
 profile from NumPy's inverse and eigh of the whole matrix, sharing no
 code with the block-wise one it checks; full_box_evolve integrates the
 flow on the dense [-N, N]^(2d) grid with 2d-dimensional FFTs, against
-evolution on the lattice spanned by the state's support.
+evolution on the affine coset that holds the state's support.  The
+ComplexSeries helpers read and build the evolution state as a dict.
 """
 
 import itertools
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from qpwave import linop
+from qpwave.dynamics import ComplexSeries
 from qpwave.lattice import (Region, canonical, is_canonical, is_canonical_array, orbit,
                             sites_array, symbol_array)
 from qpwave.linop import GreensProfile, SingularOperator
@@ -238,6 +240,35 @@ def profile_with_shells(T) -> tuple[GreensProfile, np.ndarray]:
                    lambda shells, lo: seen.append(shells) or fit_shell_decay(shells, lo))
         prof = linop.greens_profile(T)
     return prof, np.array([seen[0][s] for s in range(len(seen[0]))])
+
+
+def complex_series(d: int, coeffs: dict) -> ComplexSeries:
+    """The ComplexSeries with value coeffs[j] at each site j."""
+    return ComplexSeries(d, list(coeffs), list(coeffs.values()))
+
+
+def coeffs_of(C: ComplexSeries) -> dict:
+    """{site: value} over C's sites."""
+    return dict(zip(map(tuple, C.sites.tolist()), C.vals.tolist()))
+
+
+def reality_defect(C: ComplexSeries) -> float:
+    """max |C(-j) - conj(C(j))|; zero iff the represented field is real.
+
+    This is a property of one time slice; the flow does not preserve it
+    (free evolution rotates every mode's phase).
+    """
+    coeffs = coeffs_of(C)
+    return max((abs(coeffs.get(tuple(-c for c in j), 0j) - v.conjugate()) for j, v in coeffs.items()),
+               default=0.0)
+
+
+def evenness_defect(C: ComplexSeries) -> float:
+    """max |C(sigma j) - C(j)| over per-block sign flips: the even subspace
+    is invariant under the flow, so this stays at rounding."""
+    coeffs = coeffs_of(C)
+    return max((abs(coeffs.get(member, 0j) - v) for j, v in coeffs.items() for member in orbit(j)),
+               default=0.0)
 
 
 def full_box_nonlinear(grid: np.ndarray, p: int, N_in: int, N_out: int) -> np.ndarray:

@@ -13,7 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import GOOD_JT, GOOD_LAM, GOOD_LAM_D2, GOOD_JT_D2, brute_conv_power, random_symmetric_series
+from helpers import (GOOD_JT, GOOD_LAM, GOOD_LAM_D2, GOOD_JT_D2, brute_conv_power, coeffs_of, complex_series,
+                     random_symmetric_series)
 from qpwave import linop
 from qpwave.diagnostics import bifurcation_scan, lambda_sweep
 from qpwave.dynamics import ComplexSeries, evolve, standing_wave_deviation
@@ -193,9 +194,8 @@ def test_criterion_9_standing_wave_dynamics():
         exact = a * cmath.exp(1j * a ** (2 * p) * T)
         errs = []
         for dt in (0.04, 0.02):
-            r = evolve(ComplexSeries(1, {(0, 0): complex(a)}), GOOD_LAM, p, T, dt,
-                       Region.full_box(1))
-            errs.append(abs(r.final.get((0, 0)) - exact))
+            r = evolve(complex_series(1, {(0, 0): a}), GOOD_LAM, p, T, dt, Region.full_box(1))
+            errs.append(abs(coeffs_of(r.final)[(0, 0)] - exact))
         print(f"    dt-halving error ratio: {errs[0] / errs[1]:.1f} (>= 12 for 4th order)")
         assert errs[0] / errs[1] >= 12.0
 

@@ -240,6 +240,7 @@ def test_greens_command(tmp_path):
     assert doc["op_norm_inverse"] > 0
     assert doc["N"] == 8 and doc["threshold_distance"] == 1
     assert doc["beta"] is None or doc["beta"] > 0
+    assert doc["theta"] is None
 
 
 def test_greens_command_without_decay(tmp_path, capsys):
@@ -255,6 +256,7 @@ def test_greens_command_without_decay(tmp_path, capsys):
     assert code == 0
     doc = json.loads((out / "greens.json").read_text())
     assert doc["beta"] is None and doc["fit_rms"] is None
+    assert doc["theta"] is None
     assert "beta=None fit_rms=None" in capsys.readouterr().out
 
 
@@ -324,6 +326,7 @@ def test_evolve_command(tmp_path):
     assert code == 0
     doc = json.loads((out / "evolve.json").read_text())
     assert doc["max_deviation"] <= 1e-6
+    assert (doc["N"], doc["checkpoint_every"]) == (10, 10)
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,deviation,mass_drift,out_of_box_mass"
 
@@ -488,13 +491,15 @@ def test_separation_box_over_the_budget_is_rejected_before_enumeration(tmp_path,
 
 
 def test_evolve_runs_the_default_d3_solution(tmp_path, capsys):
-    # the d = 3 state spans a rank-3 lattice, so its 17^6 box is a 17^3 grid
+    # the d = 3 state sits on a rank-3 coset, so its 17^6 box is a 9^3 grid
     run = tmp_path / "run"
     assert cli.main([*D3_SOLVE, "--out", str(run)]) == 0
     out = tmp_path / "evolve"
     assert cli.main(["evolve", "--in", str(run / "solution.json"), "--T", "0.01",
                      "--out", str(out)]) == 0
-    assert json.loads((out / "evolve.json").read_text())["max_deviation"] <= 1e-6
+    doc = json.loads((out / "evolve.json").read_text())
+    assert doc["max_deviation"] <= 1e-6
+    assert (doc["N"], doc["checkpoint_every"]) == (8, 10)
 
 
 def test_evolve_rejects_grids_over_the_budget(tmp_path, capsys):
@@ -520,9 +525,9 @@ def test_evolve_rejects_a_huge_box_scale_quickly(tmp_path, capsys, stored_soluti
     err = capsys.readouterr().err
     assert err.startswith("rejected: the evolution grids")
     fits = int(err.split("the largest box scale that fits is N = ")[1])
-    basis = dynamics.ComplexSeries.from_profile(load_solution(stored_solution).u).basis()
-    assert (dynamics._evolve_bytes(basis, 1, fits) <= linop.BLOCK_BYTES_BUDGET
-            < dynamics._evolve_bytes(basis, 1, fits + 1))
+    coset = dynamics.ComplexSeries.from_profile(load_solution(stored_solution).u).coset()
+    assert (dynamics._evolve_bytes(coset, 1, fits) <= linop.BLOCK_BYTES_BUDGET
+            < dynamics._evolve_bytes(coset, 1, fits + 1))
     assert not (tmp_path / "evolve").exists()
 
 

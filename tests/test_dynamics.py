@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (GOOD_JT, GOOD_JT_D2, GOOD_LAM, GOOD_LAM_D2, full_box_evolve, full_box_nonlinear,
-                     random_symmetric_series)
+from helpers import (GOOD_JT, GOOD_JT_D2, GOOD_LAM, GOOD_LAM_D2, coeffs_of, complex_series, evenness_defect,
+                     full_box_evolve, full_box_nonlinear, random_symmetric_series, reality_defect)
 from qpwave import dynamics, linop
 from qpwave.dynamics import ComplexSeries, StepUnstable, evolve, nonlinear_term, standing_wave_deviation
 from qpwave.lattice import Region, symbol
@@ -25,10 +25,10 @@ def good_cfg(**kw):
 @pytest.mark.parametrize("p", [1, 2])
 def test_nonlinear_term_constant_field(p):
     a = 0.7
-    C = ComplexSeries(1, {(0, 0): a})
-    out = nonlinear_term(C, p, Region.full_box(2))
-    assert set(out.coeffs) == {(0, 0)}
-    assert out.get((0, 0)) == pytest.approx(a ** (2 * p + 1), rel=1e-13)
+    C = complex_series(1, {(0, 0): a})
+    out = coeffs_of(nonlinear_term(C, p, Region.full_box(2)))
+    assert set(out) == {(0, 0)}
+    assert out[(0, 0)] == pytest.approx(a ** (2 * p + 1), rel=1e-13)
 
 
 @pytest.mark.parametrize("box_n", [3, 12])
@@ -40,10 +40,10 @@ def test_nonlinear_term_real_symmetric_matches_convolution_power(p, d, box_n):
     u = random_symmetric_series(d, rng, n_orbits=3, box_n=2, scale=0.3)
     C = ComplexSeries.from_profile(u)
     box = Region.full_box(box_n)
-    out = nonlinear_term(C, p, box)
+    out = coeffs_of(nonlinear_term(C, p, box))
     ref = truncate(conv_power(u, 2 * p + 1), box)
-    for j in set(out.coeffs) | set(ref.coeffs):
-        got = out.get(j)
+    for j in set(out) | set(ref.coeffs):
+        got = out.get(j, 0j)
         assert abs(got.imag) <= 1e-14
         assert got.real == pytest.approx(ref.get(j), rel=1e-11, abs=1e-13)
 
@@ -53,28 +53,40 @@ def test_nonlinear_term_collocation_oracle():
     # the expected modes by least squares; agreement to 1e-6
     rng = np.random.default_rng(1)
     modes = [(0, 0), (1, 1), (-1, -1), (2, -1), (-2, 1)]
-    C = ComplexSeries(1, {j: complex(rng.normal(), rng.normal()) * 0.5 for j in modes})
+    coeffs = {j: complex(rng.normal(), rng.normal()) * 0.5 for j in modes}
     p = 1
-    out = nonlinear_term(C, p, Region.full_box(9))
-    out_modes = sorted(out.coeffs)
+    out = coeffs_of(nonlinear_term(complex_series(1, coeffs), p, Region.full_box(9)))
+    out_modes = sorted(out)
     xs = rng.uniform(0.0, 60.0, size=max(50, 2 * len(out_modes)))
 
     def field(x):
         return sum(v * cmath.exp(1j * (j[0] * GOOD_LAM[0] + j[1] * GOOD_LAM[1]) * x)
-                   for j, v in C.coeffs.items())
+                   for j, v in coeffs.items())
 
     target = np.array([abs(field(x)) ** (2 * p) * field(x) for x in xs])
     design = np.array([[cmath.exp(1j * (j[0] * GOOD_LAM[0] + j[1] * GOOD_LAM[1]) * x)
                         for j in out_modes] for x in xs])
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     for j, c in zip(out_modes, coef):
-        assert abs(c - out.get(j)) <= 1e-6
+        assert abs(c - out[j]) <= 1e-6
 
 
 def test_nonlinear_term_respects_box():
-    C = ComplexSeries(1, {(2, 2): 0.5, (-2, -2): 0.5})
+    C = complex_series(1, {(2, 2): 0.5, (-2, -2): 0.5})
     out = nonlinear_term(C, 1, Region.full_box(3))
-    assert all(max(abs(c) for c in j) <= 3 for j in out.coeffs)
+    assert len(out.vals) and np.abs(out.sites).max() <= 3
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_nonlinear_term_on_a_box_minus_region_is_the_full_box_term_without_s(p):
+    # the crop to a region with excluded sites is one array mask; S holds
+    # two sites of the full-box term and one off the support's coset
+    C = complex_series(1, {(1, 1): 0.3 + 0.1j, (2, -1): -0.2 + 0.25j})
+    S = {(1, 1), (3, -3), (0, 0)}
+    full = coeffs_of(nonlinear_term(C, p, Region.full_box(4)))
+    assert {(1, 1), (3, -3)} <= set(full) and (0, 0) not in full
+    got = coeffs_of(nonlinear_term(C, p, Region.box_minus(4, S)))
+    assert got == {j: v for j, v in full.items() if j not in S}
 
 
 # --------------------------------------------------------------------------
@@ -82,7 +94,7 @@ def test_nonlinear_term_respects_box():
 
 def test_linear_evolution_is_exact_phase():
     a = 0.3
-    C0 = ComplexSeries(1, {GOOD_JT: a / 2, (-1, -1): a / 2})
+    C0 = complex_series(1, {GOOD_JT: a / 2, (-1, -1): a / 2})
     T, dt = 1.0, 1e-2
     res = evolve(C0, GOOD_LAM, 1, T, dt, Region.full_box(3), nonlinear=False,
                  phase_reference=symbol(GOOD_JT, GOOD_LAM))
@@ -94,7 +106,7 @@ def test_linear_evolution_is_exact_phase():
 def test_constant_branch_phase_rotation(p):
     # the constant field rotates with phase +|a|^(2p) t
     a = 0.5
-    C0 = ComplexSeries(1, {(0, 0): complex(a)})
+    C0 = complex_series(1, {(0, 0): a})
     T, dt = 1.0, 1e-3
     res = evolve(C0, GOOD_LAM, p, T, dt, Region.full_box(2),
                  phase_reference=-(a ** (2 * p)))
@@ -108,9 +120,8 @@ def test_scheme_order_against_closed_form():
     exact = a * cmath.exp(1j * a ** (2 * p) * T)
     errs = []
     for dt in (0.04, 0.02):
-        res = evolve(ComplexSeries(1, {(0, 0): complex(a)}), GOOD_LAM, p, T, dt,
-                     Region.full_box(1))
-        errs.append(abs(res.final.get((0, 0)) - exact))
+        res = evolve(complex_series(1, {(0, 0): a}), GOOD_LAM, p, T, dt, Region.full_box(1))
+        errs.append(abs(coeffs_of(res.final)[(0, 0)] - exact))
     assert errs[0] > 0
     assert errs[0] / errs[1] >= 12.0
 
@@ -131,12 +142,12 @@ def test_phase_equivariance():
     u = random_symmetric_series(1, rng, n_orbits=2, box_n=1, scale=0.3)
     C0 = ComplexSeries.from_profile(u)
     phi = 0.739
-    C0_rot = ComplexSeries(1, {j: v * cmath.exp(1j * phi) for j, v in C0.coeffs.items()})
+    C0_rot = ComplexSeries(1, C0.sites, C0.vals * cmath.exp(1j * phi))
     box = Region.full_box(4)
-    r1 = evolve(C0, GOOD_LAM, 1, 0.5, 1e-2, box)
-    r2 = evolve(C0_rot, GOOD_LAM, 1, 0.5, 1e-2, box)
-    for j in set(r1.final.coeffs) | set(r2.final.coeffs):
-        assert abs(r2.final.get(j) - r1.final.get(j) * cmath.exp(1j * phi)) <= 1e-12
+    f1 = coeffs_of(evolve(C0, GOOD_LAM, 1, 0.5, 1e-2, box).final)
+    f2 = coeffs_of(evolve(C0_rot, GOOD_LAM, 1, 0.5, 1e-2, box).final)
+    for j in set(f1) | set(f2):
+        assert abs(f2.get(j, 0j) - f1.get(j, 0j) * cmath.exp(1j * phi)) <= 1e-12
 
 
 def test_evenness_preserved_but_not_reality():
@@ -145,11 +156,11 @@ def test_evenness_preserved_but_not_reality():
     rng = np.random.default_rng(4)
     u = random_symmetric_series(1, rng, n_orbits=3, box_n=1, scale=0.3)
     C0 = ComplexSeries.from_profile(u)
-    assert C0.reality_defect() == 0.0
-    assert C0.evenness_defect() == 0.0
+    assert reality_defect(C0) == 0.0
+    assert evenness_defect(C0) == 0.0
     res = evolve(C0, GOOD_LAM, 1, 0.5, 1e-2, Region.full_box(4))
-    assert res.final.evenness_defect() <= 1e-12
-    assert res.final.reality_defect() > 1e-3  # phases rotated, as they must
+    assert evenness_defect(res.final) <= 1e-12
+    assert reality_defect(res.final) > 1e-3  # phases rotated, as they must
 
 
 def test_derotated_standing_wave_stays_real():
@@ -159,13 +170,12 @@ def test_derotated_standing_wave_stays_real():
     C0 = ComplexSeries.from_profile(rec.u)
     res = evolve(C0, rec.config.lam, 1, 0.25, 1e-3, Region.full_box(12))
     t_final = res.times[-1]
-    derotated = ComplexSeries(1, {j: v * cmath.exp(1j * rec.E * t_final)
-                                  for j, v in res.final.coeffs.items()})
-    assert derotated.reality_defect() <= 1e-8 * rec.u.linf_norm()
+    derotated = ComplexSeries(1, res.final.sites, res.final.vals * cmath.exp(1j * rec.E * t_final))
+    assert reality_defect(derotated) <= 1e-8 * rec.u.linf_norm()
 
 
 def test_step_unstable_raises():
-    C0 = ComplexSeries(1, {(0, 0): 8.0, (1, 1): 4.0, (-1, -1): 4.0})
+    C0 = complex_series(1, {(0, 0): 8.0, (1, 1): 4.0, (-1, -1): 4.0})
     with pytest.raises(StepUnstable):
         evolve(C0, GOOD_LAM, 1, 1.0, 0.5, Region.full_box(2))
 
@@ -173,7 +183,7 @@ def test_step_unstable_raises():
 def test_out_of_box_mass_reported():
     coeffs = {(2, 2): 0.4, (-2, -2): 0.4}
     box = Region.full_box(2)
-    res = evolve(ComplexSeries(1, coeffs), GOOD_LAM, 1, 0.1, 1e-2, box)
+    res = evolve(complex_series(1, coeffs), GOOD_LAM, 1, 0.1, 1e-2, box)
     # t = 0 reports the initial state's own fraction, against the sparse oracle
     full = conv_power(QPSeries.delta(1, 0.4, (2, 2)), 3)
     inside = truncate(full, box).l2_norm()
@@ -184,7 +194,7 @@ def test_out_of_box_mass_reported():
 
 
 def test_evolve_rejects_bad_step_and_checkpoint_arguments():
-    C0 = ComplexSeries(1, {(0, 0): 0.5})
+    C0 = complex_series(1, {(0, 0): 0.5})
     box = Region.full_box(2)
     for T, dt in ((math.nan, 1e-2), (1.0, math.nan), (math.inf, 1e-2), (1.0, 0.0), (1e-3, 1e-2)):
         with pytest.raises(ValueError, match="dt > 0"):
@@ -194,7 +204,7 @@ def test_evolve_rejects_bad_step_and_checkpoint_arguments():
 
 
 # --------------------------------------------------------------------------
-# the support's lattice against the whole box
+# the support's coset against the whole box
 
 def _solution_case(cfg, N):
     rec = solve(cfg, precheck=False)
@@ -211,10 +221,11 @@ ORACLE_CASES = {
         ProblemConfig(d=2, p=1, a=0.02, M=2, jtilde=GOOD_JT_D2, lam=GOOD_LAM_D2), 4),
     "d2-p2": lambda: _solution_case(
         ProblemConfig(d=2, p=2, a=0.02, M=2, jtilde=GOOD_JT_D2, lam=GOOD_LAM_D2), 4),
-    # (1, 1) and (2, -1) span an index-3 lattice of full rank
-    "skewed": lambda: (ComplexSeries(1, {(1, 1): 0.3 + 0.1j, (2, -1): -0.2 + 0.25j}),
+    # (1, 1) and (2, -1) span an index-3 lattice of full rank, but their
+    # coset (1, 1) + Z (1, -2) is a skewed line
+    "skewed": lambda: (complex_series(1, {(1, 1): 0.3 + 0.1j, (2, -1): -0.2 + 0.25j}),
                        GOOD_LAM, 1, 6, 0.4),
-    "constant": lambda: (ComplexSeries(1, {(0, 0): 0.5 + 0j}), GOOD_LAM, 1, 2, -0.25),
+    "constant": lambda: (complex_series(1, {(0, 0): 0.5 + 0j}), GOOD_LAM, 1, 2, -0.25),
 }
 
 
@@ -239,39 +250,44 @@ def _assert_agree(got: np.ndarray, want: np.ndarray):
 
 def test_nonlinear_term_matches_the_whole_box(oracle_case):
     C, lam, p, N, _ = oracle_case
-    C = ComplexSeries(C.d, {j: v for j, v in C.coeffs.items() if max(map(abs, j)) <= N})
+    inside = np.abs(C.sites).max(axis=1) <= N
+    C = ComplexSeries(C.d, C.sites[inside], C.vals[inside])
     grid = np.zeros((2 * N + 1,) * (2 * C.d), dtype=complex)
-    for j, v in C.coeffs.items():
+    for j, v in coeffs_of(C).items():
         grid[tuple(c + N for c in j)] = v
     crop = full_box_nonlinear(grid, p, N, N)
     want = {tuple(int(c) - N for c in pos): complex(crop[tuple(pos)]) for pos in np.argwhere(crop != 0)}
-    _assert_close_coeffs(nonlinear_term(C, p, Region.full_box(N)).coeffs, want)
+    _assert_close_coeffs(coeffs_of(nonlinear_term(C, p, Region.full_box(N))), want)
 
 
 def test_evolve_matches_the_whole_box(oracle_case):
     C0, lam, p, N, E = oracle_case
     T, dt, every = 0.004, 1e-3, 4
     res = evolve(C0, lam, p, T, dt, Region.full_box(N), checkpoint_every=every, phase_reference=E)
-    final, rows = full_box_evolve(C0.coeffs, lam, p, T, dt, N, every, E)
+    final, rows = full_box_evolve(coeffs_of(C0), lam, p, T, dt, N, every, E)
     np.testing.assert_allclose(res.times, [0.0, 0.004], rtol=0.0, atol=1e-15)
     _assert_agree(res.mass, rows[:, 0])
     _assert_agree(res.deviation, rows[:, 1])
     _assert_agree(res.out_of_box, rows[:, 2])
-    _assert_close_coeffs(res.final.coeffs, final)
+    _assert_close_coeffs(coeffs_of(res.final), final)
 
 
-def test_evolution_grid_is_the_support_lattice():
-    # an even seed's solution spans a rank-d lattice, so the d = 1 state is
-    # one line of 2N + 1 points, and the grids' bytes grow like N
-    rec = solve(good_cfg())
-    basis = ComplexSeries.from_profile(rec.u).basis()
-    assert basis.tolist() == [[1, 1]]
-    assert dynamics._half_widths(basis, 30) == (30,)
-    assert dynamics._evolve_bytes(basis, 1, 2000) < 2 * dynamics._evolve_bytes(basis, 1, 1000)
+def test_evolution_grid_is_the_support_coset():
+    # an even seed's solution sits on the odd multiples of its blocks: the
+    # d = 1 state is one line of N + 1 points (31 at N = 30, not 61), the
+    # default d = 3 one a 9^3 grid (not 17^3), and the grids' bytes grow like N
+    s0, H = ComplexSeries.from_profile(solve(good_cfg()).u).coset()
+    assert abs(s0).max() == 1 and H.tolist() == [[2, 2]]
+    assert dynamics._half_widths((s0, H), 30) == (15,)
+    assert dynamics._evolve_bytes((s0, H), 1, 2000) < 2 * dynamics._evolve_bytes((s0, H), 1, 1000)
+    d3 = solve(ProblemConfig(d=3, M=2, jtilde=(1, 0, 0, 1, 1, 0), lam=(1.05, 0.723, 0.8, 1.31, 1.21, 0.57)),
+               precheck=False)
+    assert d3.accepted and d3.config.N_max == 8
+    assert dynamics._half_widths(ComplexSeries.from_profile(d3.u).coset(), 8) == (4, 4, 4)
 
 
 def test_evolve_rejects_grids_over_the_budget_before_allocating(monkeypatch):
-    C0 = ComplexSeries(1, {(1, 1): 0.1, (-1, -1): 0.1})
+    C0 = complex_series(1, {(1, 1): 0.1, (-1, -1): 0.1})
     monkeypatch.setattr(ComplexSeries, "to_grid", lambda *a: pytest.fail("allocated"))
     with pytest.raises(linop.OperatorTooLarge, match="the evolution grids on the box of scale 10000000"):
         evolve(C0, GOOD_LAM, 1, 0.01, 1e-3, Region.full_box(10**7))
