@@ -5,7 +5,8 @@ verify.  Every artifact embeds the effective configuration; writes are
 atomic (temp file + rename); JSON floats use the shortest round-trip
 decimal, so storing a loaded canonical file reproduces it byte for byte.
 Flags laid over a --config file and a stored effective_config all go through
-ProblemConfig.from_json_dict, so an artifact's effective_config reruns its solve.
+ProblemConfig.from_json_dict, so an artifact's effective_config reruns its solve;
+solve --force records "precheck": false there, so the rerun skips it too.
 
 Exit codes: 0 success, 1 usage error, 2 domain rejection (resonant
 frequency, non-convergence, an unstable step, failed verification, a box
@@ -205,7 +206,7 @@ def _build_config(args) -> ProblemConfig:
 def _cmd_solve(args) -> int:
     cfg = _build_config(args)
     try:
-        rec = solver.solve(cfg, precheck=not args.force)
+        rec = solver.solve(cfg)
     except (solver.NotConverged, solver.DivergedIncrement) as exc:
         # keep the partial record; main reports the rejection
         store_solution(exc.record, os.path.join(args.out, "solution.json"))
@@ -343,7 +344,11 @@ def build_parser() -> _Parser:
 
     ps = sub.add_parser("solve", help="construct one standing-wave solution")
     _add_problem_flags(ps)
-    ps.add_argument("--force", action="store_true", help="skip the separation precheck")
+    # --force lays "precheck": false over the configuration, so the artifact
+    # records the skip and its effective_config reruns without the precheck
+    ps.add_argument("--force", dest="precheck", action="store_false", default=None,
+                    help="skip the separation precheck")
+    ps.set_defaults(config_keys=[*ps.get_default("config_keys"), "precheck"])
     ps.add_argument("--out", required=True, help="output directory")
     ps.set_defaults(func=_cmd_solve)
 

@@ -194,12 +194,12 @@ def _sweep_one(cfg: ProblemConfig, idx: int, lam_flat, sep_N: int,
     dio = diophantine_margin(lam, DIO_J_MAX, DIO_EXPONENT)
     if dio <= DIO_MARGIN_MIN:
         return SampleResult(idx, lam, dio, None, False, False, "diophantine", None, None)
-    cfg_s = replace(cfg, lam=lam)
+    cfg_s = replace(cfg, lam=lam, precheck=False)  # the sweep runs its own precheck at sep_N
     sep, ok = separation_margin(lam, cfg_s.jtilde, sep_N, cfg_s.a, cfg_s.p)
     if not ok:
         return SampleResult(idx, lam, dio, sep, False, False, "separation", None, None)
     try:
-        rec = solver.solve(cfg_s, precheck=False)
+        rec = solver.solve(cfg_s)
     except (solver.NotConverged, solver.DivergedIncrement) as exc:
         return SampleResult(idx, lam, dio, sep, False, False,
                             type(exc).__name__, exc.record.diagnostics.get("final_residual"), None)

@@ -25,11 +25,16 @@ form from H's pivots), and a mask keeps those inside the box.
 
 The nonlinear term is pseudo-spectral.  The field is e^(i s0.x) times a
 field h with coefficients on Z^r, and |e^(i s0.x) h|^(2p) e^(i s0.x) h =
-e^(i s0.x) |h|^(2p) h, so in m the term is one inverse FFT on T^r, the
-pointwise product |h|^(2p) h and one forward FFT.  The product of a state of
-half-widths h_in has half-widths (2p+1) h_in, so a period
-L_i >= (2p+1) h_in_i + h_out_i + 1 on each axis keeps the crop at h_out
-alias-free (Orszag's padding rule).
+e^(i s0.x) |h|^(2p) h, so in m the term is an inverse FFT on T^r, the
+pointwise product |h|^(2p) h and a forward FFT, taken axis by axis on
+buffers that one evaluator (_Spectral) allocates once per grid shape.  The
+product of a state of half-widths h_in has half-widths (2p+1) h_in, so a
+period L_i >= (2p+1) h_in_i + h_out_i + 1 on each axis keeps the crop at
+h_out alias-free.  The grid goes into the zero-padded array unshifted, at
+the corner: coordinate m at position m + h, as to_grid stores it.  That
+multiplies h by e^(2 pi i h.x / L), which |.|^(2p)(.) carries through
+exactly once, so the product's coefficient at m sits at (m + h) mod L and
+each RK4 stage crops the corner [0, 2h] of every axis.
 
 A constructed profile with eigenvalue E should evolve as the pure phase
 rotation e^(-iEt) times itself; standing_wave_deviation measures how far a
@@ -96,18 +101,42 @@ def _positions(m: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return (m + np.array([n // 2 for n in shape], dtype=np.int64)) @ strides
 
 
-def _grid_sites(coset, half) -> np.ndarray:
-    """Site s0 + m @ H of every point of the rectangle |m_i| <= half_i, in
-    C order: an (n, 2d) int64 array."""
+def _site_columns(coset, half):
+    """Each coordinate c of the sites s0 + m @ H of the rectangle
+    |m_i| <= half_i, as an int64 array of the rectangle's shape: one column
+    at a time, so no (n, 2d) site array is formed."""
     s0, basis = coset
-    shape = tuple(2 * h + 1 for h in half)
-    return s0 + _coordinates(np.arange(math.prod(shape)), shape) @ basis
+    r = len(half)
+    axes = [np.arange(-h, h + 1, dtype=np.int64).reshape([-1 if k == i else 1 for k in range(r)])
+            for i, h in enumerate(half)]
+    for c in range(len(s0)):
+        col = np.full(tuple(2 * h + 1 for h in half), s0[c], dtype=np.int64)
+        for axis, b in zip(axes, basis[:, c].tolist()):
+            if b:
+                col += b * axis
+        yield col
 
 
 def _in_box(coset, half, region: Region) -> np.ndarray:
     """Mask of the rectangle |m_i| <= half_i: True where s0 + m @ H lies in
     region."""
-    return region.contains_array(_grid_sites(coset, half)).reshape(tuple(2 * h + 1 for h in half))
+    inside = np.ones(tuple(2 * h + 1 for h in half), dtype=bool)
+    for col in _site_columns(coset, half):
+        inside &= np.abs(col, out=col) <= region.N
+    if region.S:  # the excluded sites that lie on the coset, in the rectangle
+        s0, basis = coset
+        m, rest = lattice.lattice_reduce(np.array(region.S, dtype=np.int64) - s0, basis)
+        hit = ~rest.any(axis=1) & np.all(np.abs(m) <= np.array(half, dtype=np.int64), axis=1)
+        inside.reshape(-1)[_positions(m[hit], inside.shape)] = False
+    return inside
+
+
+def _symbol_grid(coset, half, lam: Frequency) -> np.ndarray:
+    """lattice.symbol at the sites of the rectangle |m_i| <= half_i, summed
+    block by block from their columns."""
+    cols = _site_columns(coset, half)
+    inners = (next(cols) * lam[2 * k] + next(cols) * lam[2 * k + 1] for k in range(len(lam) // 2))
+    return sum(inner * inner for inner in inners)
 
 
 class StepUnstable(Exception):
@@ -174,46 +203,67 @@ def _periods(half_in, half_out, p: int) -> list[int]:
     return [next_fast_len((2 * p + 1) * i + o + 1) for i, o in zip(half_in, half_out)]
 
 
-def _fft_plan(half_in, half_out, p: int):
-    """The alias-free periods for the crop at half_out of the nonlinear term
-    of a grid of half-widths half_in, and the index arrays that place the
-    grid on them and crop the product."""
-    L = _periods(half_in, half_out, p)
-    return (L, np.ix_(*[np.arange(-h, h + 1) % n for h, n in zip(half_in, L)]),
-            np.ix_(*[np.arange(-h, h + 1) % n for h, n in zip(half_out, L)]))
+class _Spectral:
+    """The pseudo-spectral nonlinear term |h|^(2p) h of grids of half-widths
+    half_in, cropped to half-widths half_out <= (2p+1) half_in (the term's
+    reach), on buffers allocated once.
 
+    Each axis has its alias-free period L (_periods) and an offset
+    o = max(h_in, h_out): a grid's coordinate m sits at position m + o of a
+    zero-padded array, so its field is e^(2 pi i o x / L) h and the product
+    e^(2 pi i o x / L) |h|^(2p) h, whose coefficient at m sits at
+    (m + o) mod L.  Grid and crop are then the basic slices [o - h_in,
+    o + h_in] and [o - h_out, o + h_out]; for the stages (h_out = h_in) both
+    are the corner [0, 2h].  The transforms run axis by axis into one work
+    array, so the padding's zeros are written once and a call allocates no
+    array."""
 
-def _nonlinear_grid(grid: np.ndarray, p: int, plan) -> np.ndarray:
-    """[C^(*(p+1)) * (Cbar)^(*p)] of a to_grid array, pseudo-spectral on the
-    periods of plan (_fft_plan) and cropped as it says."""
-    L, place, crop = plan
-    padded = np.zeros(L, dtype=complex)
-    padded[place] = grid
-    f = np.fft.ifftn(padded, norm="forward")
-    del padded
-    f *= (f.real * f.real + f.imag * f.imag) ** p
-    return np.asarray(np.fft.fftn(f, norm="forward")[crop])
+    def __init__(self, half_in, half_out, p: int):
+        L = _periods(half_in, half_out, p)
+        offset = [max(i, o) for i, o in zip(half_in, half_out)]
+        self.place = tuple(slice(c - h, c + h + 1) for c, h in zip(offset, half_in))
+        # the Ellipsis keeps a rank-0 crop a view, not a scalar
+        self.crop = (*(slice(c - h, c + h + 1) for c, h in zip(offset, half_out)), ...)
+        self.padded = np.zeros(L, dtype=complex)
+        # rank 0 transforms no axis: its product is taken in place, and the
+        # next call overwrites the whole (one-point) padded array
+        self.field = np.empty(L, dtype=complex) if L else self.padded
+        self.re, self.im = self.field.real, self.field.imag
+        self.amp, self.tmp = np.empty(L), np.empty(L)
+        self.p = p
 
-
-def _out_of_box_fraction(grid: np.ndarray, p: int, plan, inside: np.ndarray) -> float:
-    """Fraction of the nonlinear term's l2 mass off the mask inside, the
-    box's points on plan's crop at (2p+1) times grid's half-widths: that
-    crop holds the whole unaliased spectrum."""
-    full = _nonlinear_grid(grid, p, plan)
-    total = float(np.linalg.norm(full))
-    full[inside] = 0.0
-    return float(np.linalg.norm(full)) / total if total > 0.0 else 0.0
+    def __call__(self, grid: np.ndarray) -> np.ndarray:
+        """The product's crop: a view that the next call overwrites."""
+        self.padded[self.place] = grid
+        f = self.padded
+        for axis in reversed(range(f.ndim)):
+            f = np.fft.ifft(f, axis=axis, norm="forward", out=self.field)
+        amp = np.multiply(self.re, self.re, out=self.amp)
+        amp += np.multiply(self.im, self.im, out=self.tmp)
+        if self.p > 1:
+            amp **= self.p
+        np.multiply(self.re, amp, out=self.re)  # f *= amp would cast amp to a complex copy
+        np.multiply(self.im, amp, out=self.im)
+        for axis in reversed(range(f.ndim)):
+            np.fft.fft(f, axis=axis, norm="forward", out=f)
+        return f[self.crop]
 
 
 def _evolve_bytes(coset, p: int, N: int) -> int:
-    """Bytes of the complex grids evolve may hold at once on the box of scale
-    N: twelve of the state's rectangle (the state, its reference copy, two
-    phase arrays, four RK4 stages, a stage input and the update's
-    temporaries) and two of the out-of-box period (the padded grid and its
-    FFT output), which is longer on every axis than a stage's period."""
+    """Bytes evolve holds at its peak on the box of scale N, counted from
+    its tracemalloc peaks: 16 bytes a point of thirteen grids of the state's
+    rectangle (the state, its reference copy, the two phase arrays, the
+    mask, four RK4 stages, a stage input, e_full times the state and a
+    checkpoint's two deviation temporaries); 48 bytes a point of each
+    _Spectral's periods (the padded and work grids and two real buffers);
+    17 bytes a point of the rectangle of the whole spectrum (its in-box
+    mask and the copy its norm takes); and 64 KiB for the small arrays and
+    objects, which take about 16 KiB at N <= 4."""
     half = _half_widths(coset, N)
     wide = [(2 * p + 1) * h for h in half]
-    return 16 * (12 * math.prod(2 * h + 1 for h in half) + 2 * math.prod(_periods(half, wide, p)))
+    periods = math.prod(_periods(half, half, p)) + math.prod(_periods(half, wide, p))
+    return (16 * 13 * math.prod(2 * h + 1 for h in half) + 48 * periods
+            + 17 * math.prod(2 * h + 1 for h in wide) + 2 ** 16)
 
 
 def nonlinear_term(C: ComplexSeries, p: int, box: Region) -> ComplexSeries:
@@ -227,9 +277,11 @@ def nonlinear_term(C: ComplexSeries, p: int, box: Region) -> ComplexSeries:
     if p < 1:
         raise ValueError("p must be >= 1")
     coset = C.coset()
-    half = _half_widths(coset, box.N)
     grid = C.to_grid(coset, C.support_radius())
-    crop = _nonlinear_grid(grid, p, _fft_plan([n // 2 for n in grid.shape], half, p))
+    h_in = [n // 2 for n in grid.shape]
+    # the term reaches (2p+1) h_in: a larger box would add only zeros
+    half = [min(h, (2 * p + 1) * i) for h, i in zip(_half_widths(coset, box.N), h_in)]
+    crop = _Spectral(h_in, half, p)(grid)
     crop[~_in_box(coset, half, box)] = 0.0
     return ComplexSeries.from_grid(crop, coset, drop_tol=1e-13 * float(np.max(np.abs(crop))))
 
@@ -278,52 +330,74 @@ def evolve(C0: ComplexSeries, lam: Frequency, p: int, T: float, dt: float,
     state = C0.to_grid(coset, N)
     n_steps = int(round(T / dt))
 
-    outside = ~_in_box(coset, half, full_box)
-    omega = lattice.symbol_array(_grid_sites(coset, half), lam).reshape(state.shape)
-    e_half = np.exp(-1j * omega * (dt / 2.0))
+    e_half = np.exp(-1j * _symbol_grid(coset, half, lam) * (dt / 2.0))
     e_full = e_half * e_half
-    wide = [(2 * p + 1) * h for h in half]
-    stage_plan, wide_plan = _fft_plan(half, half, p), _fft_plan(half, wide, p)
-    wide_in_box = _in_box(coset, wide, full_box) if nonlinear else None
+    if nonlinear:
+        wide = [(2 * p + 1) * h for h in half]
+        stage, whole = _Spectral(half, half, p), _Spectral(half, wide, p)
+        # the 1j of the flow and 0 at the rectangle's points outside the box,
+        # so the state stays 0 there; neither factor rounds
+        mask = np.where(_in_box(coset, half, full_box), 1j, 0j)
+        wide_in_box = _in_box(coset, wide, full_box)
+    # the four RK4 stages, a stage input and e_full * state
+    n1, n2, n3, n4, u, v = (np.zeros_like(state) for _ in range(6))
 
     ref0 = state.copy() if phase_reference is not None else None
     mass0 = float(np.linalg.norm(state))
     times, masses, devs, oob = [], [], [], []
 
-    def checkpoint(t, g):
+    def checkpoint(t, norm):
         times.append(t)
-        masses.append(float(np.linalg.norm(g)))
-        oob.append(_out_of_box_fraction(g, p, wide_plan, wide_in_box) if nonlinear else 0.0)
+        masses.append(float(norm))
+        if nonlinear:
+            full = whole(state)  # the whole unaliased spectrum
+            total = float(np.linalg.norm(full))
+            full[wide_in_box] = 0.0
+            oob.append(float(np.linalg.norm(full)) / total if total > 0.0 else 0.0)
+        else:
+            oob.append(0.0)
         if phase_reference is None:
             devs.append(math.nan)
         else:
-            drift = g - np.exp(-1j * phase_reference * t) * ref0
+            drift = state - np.exp(-1j * phase_reference * t) * ref0
             devs.append(float(np.linalg.norm(drift)) / mass0 if mass0 > 0 else 0.0)
 
-    def nl(g):
-        if not nonlinear:
-            return np.zeros_like(g)
-        crop = _nonlinear_grid(g, p, stage_plan)
-        crop[outside] = 0.0  # so the state stays 0 at the rectangle's points outside the box
-        return 1j * crop
+    def nl(g, out):
+        if nonlinear:
+            np.multiply(stage(g), mask, out=out)
 
-    checkpoint(0.0, state)
+    prev_norm = mass0
+    checkpoint(0.0, prev_norm)
     for step in range(1, n_steps + 1):
-        prev_norm = np.linalg.norm(state)
-        n1 = nl(state)
-        u = e_half * (state + (dt / 2.0) * n1)
-        n2 = nl(u)
-        u = e_half * state + (dt / 2.0) * n2
-        n3 = nl(u)
-        u = e_full * state + dt * (e_half * n3)
-        n4 = nl(u)
-        state = e_full * state + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+        nl(state, n1)
+        np.multiply(n1, dt / 2.0, out=u)
+        np.add(state, u, out=u)
+        np.multiply(e_half, u, out=u)                # e_half (state + dt/2 n1)
+        nl(u, n2)
+        np.multiply(e_half, state, out=v)
+        np.multiply(n2, dt / 2.0, out=u)
+        np.add(v, u, out=u)                          # e_half state + dt/2 n2
+        nl(u, n3)
+        np.multiply(e_half, n3, out=u)
+        np.multiply(u, dt, out=u)
+        np.multiply(e_full, state, out=v)
+        np.add(v, u, out=u)                          # e_full state + dt e_half n3
+        nl(u, n4)
+        np.multiply(e_full, n1, out=n1)
+        np.add(n2, n3, out=n2)
+        np.multiply(e_half, n2, out=n2)
+        np.multiply(n2, 2.0, out=n2)
+        np.add(n1, n2, out=n1)
+        np.add(n1, n4, out=n1)
+        np.multiply(n1, dt / 6.0, out=n1)
+        np.add(v, n1, out=state)  # e_full state + dt/6 (e_full n1 + 2 e_half (n2 + n3) + n4)
         t = step * dt
         new_norm = np.linalg.norm(state)
         if new_norm > 1.1 * prev_norm:
             raise StepUnstable(f"l2 norm grew {new_norm / prev_norm:.3f}x in one step at t={t:.4g}")
+        prev_norm = new_norm
         if step % checkpoint_every == 0 or step == n_steps:
-            checkpoint(t, state)
+            checkpoint(t, new_norm)
 
     masses_arr = np.array(masses)
     drift = float(np.max(np.abs(masses_arr - mass0)) / mass0) if mass0 > 0 else 0.0

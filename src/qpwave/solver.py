@@ -97,20 +97,21 @@ _JSON_KEY = {"lam": "lambda"}  # the one field stored under another name
 
 
 def _json_value(key: str, value, hint):
-    """value as the type hint of its field (int, float, a tuple of either,
-    or int | None, taken as int) when it has that JSON type: a bool is not
-    a number, an int may stand for a float.  Raises ValueError naming key."""
+    """value as the type hint of its field (bool, int, float, a tuple of
+    either number, or int | None, taken as int) when it has that JSON type:
+    a bool is not a number, an int may stand for a float.  Raises
+    ValueError naming key."""
     args = typing.get_args(hint)
     item, many = args[0] if args else hint, typing.get_origin(hint) is tuple
     values = value if many else [value]
     if isinstance(value, (list, tuple)) == many and all(
-            isinstance(v, (int, item)) and not isinstance(v, bool) for v in values):
+            isinstance(v, (int, item)) and isinstance(v, bool) == (item is bool) for v in values):
         try:
             typed = tuple(map(item, values))
             return typed if many else typed[0]
         except OverflowError:  # an int beyond the float range
             pass
-    noun = "integer" if item is int else "number"
+    noun = {int: "integer", bool: "boolean"}.get(item, "number")
     want = f"a list of JSON {noun}s" if many else f"a JSON {noun}"
     raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
 
@@ -131,6 +132,7 @@ class ProblemConfig:
     max_steps: int = 12
     residual_tol: float = 1e-12
     drop_tol: float = 1e-16
+    precheck: bool = True  # False skips the separation precheck (solve --force)
 
     def __post_init__(self):
         if self.d < 1 or self.p < 1:
@@ -160,8 +162,12 @@ class ProblemConfig:
         return orbit(self.jtilde)
 
     def to_json_dict(self) -> dict:
+        """The configuration's keys; precheck is written only when it is
+        false, so a document without it ran the precheck."""
         doc = {_JSON_KEY.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
         doc["jtilde"], doc["lambda"] = list(self.jtilde), list(self.lam)
+        if self.precheck:
+            del doc["precheck"]
         return doc
 
     @classmethod
@@ -308,18 +314,18 @@ def _assert_iterate_invariants(u: QPSeries, cfg: ProblemConfig):
         raise AssertionError(f"pinned amplitude at {cfg.jtilde} drifted to {u.get(cfg.jtilde)!r}")
 
 
-def solve(cfg: ProblemConfig, precheck: bool = True) -> SolutionRecord:
+def solve(cfg: ProblemConfig) -> SolutionRecord:
     """Run the full scheme; returns the record, accepted iff the residual on
     the final box met residual_tol.
 
     Raises SeparationFailure (resonant frequency rejected by the precheck,
-    unless precheck=False), SingularOperator (resonance discovered at some
+    unless cfg.precheck is False), SingularOperator (resonance discovered at some
     scale), DivergedIncrement, or NotConverged; the last two carry the
     partial record.
     """
     diagnostics: dict = {}
     sep_margin = None
-    if precheck and cfg.a > 0 and nonzero_block_count(cfg.jtilde) > 0:
+    if cfg.precheck and cfg.a > 0 and nonzero_block_count(cfg.jtilde) > 0:
         from .diagnostics import separation_margin  # deferred: diagnostics imports solver
 
         sep_margin, ok = separation_margin(cfg.lam, cfg.jtilde, cfg.M, cfg.a, cfg.p)

@@ -533,16 +533,24 @@ def test_evolve_rejects_a_huge_box_scale_quickly(tmp_path, capsys, stored_soluti
 
 D2_P2_SOLVE = ["solve", "--d", "2", "--M", "2", "--force", "--jtilde", "1,0,0,1", "--p", "2",
                "--a", "0.05", "--lambda", ",".join(map(repr, GOOD_LAM_D2))]
+# the separation precheck rejects this point (margin 0.25901 <= 0.447214):
+# only the recorded skip lets its effective_config rerun
+D2_P1_FORCED_SOLVE = ["solve", "--d", "2", "--M", "2", "--force", "--jtilde", "1,0,0,1", "--p", "1",
+                      "--a", "0.05", "--lambda", ",".join(map(repr, GOOD_LAM_D2))]
 
 
-@pytest.mark.parametrize("argv", [solve_args("")[:-2], D2_P2_SOLVE], ids=["d1", "d2-p2"])
+@pytest.mark.parametrize("argv", [solve_args("")[:-2], D2_P2_SOLVE, D2_P1_FORCED_SOLVE],
+                         ids=["d1", "d2-p2", "d2-p1-forced"])
 def test_effective_config_reruns_its_solve(tmp_path, argv):
     first, again = tmp_path / "first", tmp_path / "again"
     assert cli.main([*argv, "--out", str(first)]) == 0
     doc = json.loads((first / "solution.json").read_text())
     config = doc["diagnostics"]["effective_config"]
+    forced = "--force" in argv  # recorded only when the precheck was skipped
     assert list(config) == ["d", "p", "a", "jtilde", "lambda", "M", "N_max", "max_steps",
-                            "residual_tol", "drop_tol"]
+                            "residual_tol", "drop_tol", *(["precheck"] if forced else [])]
+    assert config.get("precheck", True) is not forced
+    assert load_solution(str(first / "solution.json")).config.precheck is not forced
     cfg_file = tmp_path / "effective_config.json"
     cfg_file.write_text(json.dumps(config))
     assert cli.main(["solve", "--config", str(cfg_file), "--out", str(again)]) == 0
@@ -564,8 +572,9 @@ BASE_CONFIG = {"jtilde": list(GOOD_JT), "lambda": list(GOOD_LAM)}
     ({**BASE_CONFIG, "bogus": 7}, "'bogus'"),
     ({**BASE_CONFIG, "n_max": 8}, "'n_max'"),  # the key is N_max, as in effective_config
     ({"jtilde": list(GOOD_JT)}, "'lambda'"),
+    ({**BASE_CONFIG, "precheck": 0}, "'precheck'"),
 ], ids=["string-d", "bool-p", "scalar-jtilde", "float-in-jtilde", "string-in-lambda",
-        "array-file", "unknown-key", "n_max", "missing-lambda"])
+        "array-file", "unknown-key", "n_max", "missing-lambda", "int-precheck"])
 def test_bad_config_file_is_one_usage_error(tmp_path, capsys, config, key):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(config))

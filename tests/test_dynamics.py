@@ -1,12 +1,16 @@
 import cmath
+import itertools
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import (GOOD_JT, GOOD_JT_D2, GOOD_LAM, GOOD_LAM_D2, coeffs_of, complex_series, evenness_defect,
-                     full_box_evolve, full_box_nonlinear, random_symmetric_series, reality_defect)
-from qpwave import dynamics, linop
+from helpers import (GOOD_JT, GOOD_JT_D2, GOOD_LAM, GOOD_LAM_D2, brute_conv_power, brute_convolve, coeffs_of,
+                     complex_series, evenness_defect, full_box_evolve, full_box_nonlinear,
+                     random_symmetric_series, reality_defect)
+from qpwave import dynamics, lattice, linop
 from qpwave.dynamics import ComplexSeries, StepUnstable, evolve, nonlinear_term, standing_wave_deviation
 from qpwave.lattice import Region, symbol
 from qpwave.series import QPSeries, conv_power, truncate
@@ -87,6 +91,62 @@ def test_nonlinear_term_on_a_box_minus_region_is_the_full_box_term_without_s(p):
     assert {(1, 1), (3, -3)} <= set(full) and (0, 0) not in full
     got = coeffs_of(nonlinear_term(C, p, Region.box_minus(4, S)))
     assert got == {j: v for j, v in full.items() if j not in S}
+
+
+# --------------------------------------------------------------------------
+# the alias bound of the placed grid
+
+# (d, rows spanning the support's lattice, support radius); each support
+# holds the origin and, on every axis of the coordinates m, a point at
+# m_i = h_i and one at m_i = -h_i, so the term reaches (2p+1) h_i there
+ALIAS_CASES = {
+    "d1-rank1-axis": (1, [[1, 0]], 3),
+    "d1-rank1-diagonal": (1, [[1, 1]], 3),
+    "d1-rank2": (1, [[1, 0], [0, 1]], 2),
+    "d1-rank2-skewed": (1, [[1, 1], [2, -1]], 3),  # index 3: H = [[1, 1], [0, 3]]
+    "d2-rank2": (2, [[1, 0, 1, 0], [0, 1, 0, 1]], 2),
+    "d2-rank3-skewed": (2, [[1, 1, 0, 0], [0, 2, 1, 0], [0, 0, 1, -1]], 2),
+    "d2-rank4": (2, np.eye(4, dtype=int).tolist(), 1),
+}
+
+
+def _alias_case(name):
+    d, rows, R = ALIAS_CASES[name]
+    rng = np.random.default_rng(sorted(ALIAS_CASES).index(name))
+    H = lattice.hermite_basis(np.array(rows))
+    box = np.array(list(itertools.product(range(-R, R + 1), repeat=2 * d)))
+    on = box[~lattice.lattice_reduce(box, H)[1].any(axis=1)]
+    m = lattice.lattice_reduce(on, H)[0]
+    half = dynamics._half_widths((np.zeros(2 * d, dtype=np.int64), H), R)
+    pick = set(rng.choice(len(on), size=3).tolist())
+    pick |= {int(rng.choice(np.flatnonzero(m[:, i] == s * h))) for i, h in enumerate(half) for s in (1, -1)}
+    C = {tuple(on[k].tolist()): complex(*rng.normal(size=2)) * 0.3 for k in sorted(pick)}
+    C[(0,) * (2 * d)] = 0.2  # the origin: the coset's s0, so the grid is H's rectangle
+    assert complex_series(d, C).coset()[1].tolist() == H.tolist()
+    return d, C, R
+
+
+def _alias_error(d, C, p, N) -> float:
+    """Largest gap between nonlinear_term and the brute-force convolution on
+    the box of scale N, relative to the term's peak."""
+    Cbar = {tuple(-c for c in j): v.conjugate() for j, v in C.items()}
+    want = brute_convolve(brute_conv_power(C, p + 1), brute_conv_power(Cbar, p))
+    want = {j: v for j, v in want.items() if max(map(abs, j)) <= N}
+    got = coeffs_of(nonlinear_term(complex_series(d, C), p, Region.full_box(N)))
+    return max(abs(got.get(j, 0j) - want.get(j, 0j)) for j in set(got) | set(want)) / max(map(abs, want.values()))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("name", sorted(ALIAS_CASES))
+def test_corner_placement_is_alias_free_at_the_minimal_period_and_no_shorter(monkeypatch, name, p):
+    # next_fast_len as the identity leaves every period at its minimum,
+    # (2p+1) h_in + h_out + 1; one shorter aliases the term's extreme
+    # coefficient at (2p+1) h_in onto -h_out, inside the crop
+    d, C, R = _alias_case(name)
+    monkeypatch.setattr(dynamics, "next_fast_len", lambda n: n)
+    assert _alias_error(d, C, p, R) <= 1e-12
+    monkeypatch.setattr(dynamics, "next_fast_len", lambda n: n - 1)
+    assert _alias_error(d, C, p, R) > 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -207,7 +267,7 @@ def test_evolve_rejects_bad_step_and_checkpoint_arguments():
 # the support's coset against the whole box
 
 def _solution_case(cfg, N):
-    rec = solve(cfg, precheck=False)
+    rec = solve(replace(cfg, precheck=False))
     assert rec.accepted
     return ComplexSeries.from_profile(rec.u), cfg.lam, cfg.p, N, rec.E
 
@@ -272,6 +332,10 @@ def test_evolve_matches_the_whole_box(oracle_case):
     _assert_close_coeffs(coeffs_of(res.final), final)
 
 
+D3_CFG = ProblemConfig(d=3, M=2, jtilde=(1, 0, 0, 1, 1, 0), lam=(1.05, 0.723, 0.8, 1.31, 1.21, 0.57),
+                       precheck=False)
+
+
 def test_evolution_grid_is_the_support_coset():
     # an even seed's solution sits on the odd multiples of its blocks: the
     # d = 1 state is one line of N + 1 points (31 at N = 30, not 61), the
@@ -280,10 +344,49 @@ def test_evolution_grid_is_the_support_coset():
     assert abs(s0).max() == 1 and H.tolist() == [[2, 2]]
     assert dynamics._half_widths((s0, H), 30) == (15,)
     assert dynamics._evolve_bytes((s0, H), 1, 2000) < 2 * dynamics._evolve_bytes((s0, H), 1, 1000)
-    d3 = solve(ProblemConfig(d=3, M=2, jtilde=(1, 0, 0, 1, 1, 0), lam=(1.05, 0.723, 0.8, 1.31, 1.21, 0.57)),
-               precheck=False)
+    d3 = solve(D3_CFG)
     assert d3.accepted and d3.config.N_max == 8
     assert dynamics._half_widths(ComplexSeries.from_profile(d3.u).coset(), 8) == (4, 4, 4)
+
+
+# (configuration, box scale): the stored d = 1 solution and the d = 2 and
+# d = 3 solutions that CI evolves, on boxes where the grids dominate
+MEMORY_CASES = {
+    "d1": (good_cfg(), 20000),
+    "d2": (ProblemConfig(d=2, M=2, a=0.02, jtilde=GOOD_JT_D2, lam=GOOD_LAM_D2, precheck=False), 40),
+    "d3": (D3_CFG, 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_CASES))
+def test_evolve_peak_memory_stays_within_its_byte_bound(name):
+    cfg, N = MEMORY_CASES[name]
+    rec = solve(cfg)
+    C0 = ComplexSeries.from_profile(rec.u)
+    args = (C0, cfg.lam, cfg.p, 1e-3, 1e-3, Region.full_box(N))
+    evolve(*args, checkpoint_every=1, phase_reference=rec.E)  # numpy's first calls load lazy parts
+    tracemalloc.start()
+    try:
+        evolve(*args, checkpoint_every=1, phase_reference=rec.E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= dynamics._evolve_bytes(C0.coset(), cfg.p, N)
+
+
+@pytest.mark.parametrize("half", [(), (200,), (6, 6), (4, 4, 4)])
+def test_spectral_evaluator_allocates_no_array_per_call(half):
+    stage = dynamics._Spectral(half, half, 1)
+    grid = np.full(tuple(2 * h + 1 for h in half), 0.1 + 0.2j)
+    first = stage(grid).copy()
+    tracemalloc.start()
+    try:
+        again = stage(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again, first)
+    assert peak < 4096  # views and scalars; the smallest work array here takes 10 KB
 
 
 def test_evolve_rejects_grids_over_the_budget_before_allocating(monkeypatch):

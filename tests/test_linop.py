@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,7 +257,7 @@ def test_greens_profile_matches_dense_profile(d):
             3, 2397),
         3: (ProblemConfig(d=3, p=1, a=0.01, jtilde=(1, 0, 0, 1, 1, 0), lam=D3_LAM, M=2), 1, 721),
     }[d]
-    rec = solve(cfg, precheck=False)
+    rec = solve(replace(cfg, precheck=False))
     T = assemble(rec.u, rec.E, cfg.lam, None, Region.box_minus(N, orbit(cfg.jtilde)), cfg.p)
     assert T.n == n
     prof, shells = profile_with_shells(T)
@@ -344,7 +345,7 @@ def test_coset_blocks_are_the_connected_components(case):
     d1 = ProblemConfig(d=1, p=1, a=0.01, jtilde=(1, 1), lam=GOOD_LAM)
     d2 = ProblemConfig(d=2, p=1, a=0.02, jtilde=GOOD_JT_D2, lam=GOOD_LAM_D2, M=2)
     cfg, N = {"survey-d1": (d1, 16), "theta-d1": (d1, 12), "construct-d2": (d2, 4)}[case]
-    rec = solve(cfg, precheck=False)
+    rec = solve(replace(cfg, precheck=False))
     T = assemble(rec.u, rec.E, cfg.lam, None, Region.box_minus(N, orbit(cfg.jtilde)), cfg.p)
     index = T.site_index()
     pattern = [(i, index[src]) for i, s in enumerate(map(tuple, T.sites.tolist()))

@@ -8,6 +8,7 @@ configurations.  Each test draws from a fixed seed, with no example database,
 so an edit to a test's body leaves its examples unchanged."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -334,7 +335,7 @@ def test_newton_iterates_and_increments_live_on_the_coupled_set(cfg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "newton_step", checked)
         try:
-            rec = solver.solve(cfg, precheck=False)
+            rec = solver.solve(replace(cfg, precheck=False))
         except (NotConverged, DivergedIncrement) as exc:
             rec = exc.record
         except SingularOperator:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,6 +71,13 @@ def test_config_json_round_trip_and_defaults():
         ProblemConfig.from_json_dict({**least, "a": 10 ** 400})
     with pytest.raises(ValueError, match="missing config keys: \\['jtilde'\\]"):
         ProblemConfig.from_json_dict({"lambda": list(GOOD_LAM)})
+    # the precheck's skip is recorded, and a document without the record ran it
+    assert "precheck" not in cfg.to_json_dict() and cfg.precheck is True
+    forced = replace(cfg, precheck=False)
+    assert forced.to_json_dict()["precheck"] is False
+    assert ProblemConfig.from_json_dict(forced.to_json_dict()) == forced
+    with pytest.raises(ValueError, match="config key 'precheck' must be a JSON boolean"):
+        ProblemConfig.from_json_dict({**least, "precheck": "false"})
 
 
 def test_initial_guess_nondegenerate_d2():
@@ -306,7 +314,7 @@ def test_solve_forms_one_convolution_chain_per_iterate(monkeypatch, d, p):
     else:
         cfg = ProblemConfig(d=2, p=p, a=0.05, jtilde=GOOD_JT_D2, lam=GOOD_LAM_D2, M=2, N_max=4)
     calls = count_convolutions(monkeypatch)
-    rec = solve(cfg, precheck=False)
+    rec = solve(replace(cfg, precheck=False))
     steps = len(rec.trace.steps)
     assert rec.accepted and steps >= 2
     assert calls["n"] == 2 * p * (steps + 1)
@@ -333,7 +341,7 @@ def test_solve_d3_default_never_enumerates_a_box(monkeypatch):
     monkeypatch.setattr(lattice, "sites_array", no_box)
     cfg = ProblemConfig(d=3, p=1, a=0.01, jtilde=(1, 0, 0, 1, 1, 0), lam=D3_LAM, M=2)
     assert cfg.N_max == 8
-    rec = solve(cfg, precheck=False)
+    rec = solve(replace(cfg, precheck=False))
     assert rec.accepted
     assert rec.diagnostics["final_residual"] <= cfg.residual_tol
 
