@@ -11,7 +11,7 @@ from .lattice import (
     orbit,
     symbol,
 )
-from .series import DecayFit, InsufficientData, QPSeries, conv_power, convolve, decay_fit, evaluate, truncate
+from .series import DecayFit, InsufficientData, QPSeries, conv_power, convolve, truncate
 from .linop import (
     GreensProfile,
     LinearizedOperator,

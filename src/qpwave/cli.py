@@ -10,8 +10,8 @@ solve --force records "precheck": false there, so the rerun skips it too.
 
 Exit codes: 0 success, 1 usage error, 2 domain rejection (resonant
 frequency, non-convergence, an unstable step, failed verification, a box
-over the memory budget).  main alone maps the library's typed rejections
-to exit 2.
+over the memory budget, supports too wide for an int64 site code).  main
+alone maps the library's typed rejections to exit 2.
 """
 
 from __future__ import annotations
@@ -418,7 +418,7 @@ def main(argv=None) -> int:
         return 1
     except (solver.SeparationFailure, solver.MixedDegenerateIndex, solver.NotConverged,
             solver.DivergedIncrement, linop.SingularOperator, linop.OperatorTooLarge,
-            dynamics.StepUnstable) as exc:
+            lattice.CodeOverflow, dynamics.StepUnstable) as exc:
         # the one place a typed domain rejection becomes exit 2
         print(f"rejected: {exc}", file=sys.stderr)
         return 2

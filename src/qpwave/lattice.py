@@ -139,10 +139,8 @@ class Region:
     def contains_array(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (n, 2d) int array."""
         mask = np.all(np.abs(pts) <= self.N, axis=1)
-        if self.S:
-            codes = encode(pts, self.N)
-            s_codes = encode(np.asarray(self.S, dtype=np.int64), self.N)
-            mask &= ~np.isin(codes, s_codes)
+        for s in self.S:
+            mask &= np.any(pts != s, axis=1)
         return mask
 
     def is_orbit_closed(self) -> bool:
@@ -247,41 +245,65 @@ def coset_bound(basis: np.ndarray, width: int) -> int:
     return math.prod(-(-width // int(row[row != 0][0])) for row in basis)
 
 
-def encode(pts: np.ndarray, bound: int) -> np.ndarray:
-    """Injective int64 code for integer rows with coordinates in [-bound, bound].
-
-    The first coordinate is most significant, so code order equals
-    lexicographic order on the rows and lex-sorted site lists have sorted
-    codes (searchsorted-ready).
-    """
-    base = 2 * bound + 1
-    ncol = pts.shape[1]
-    weights = base ** np.arange(ncol - 1, -1, -1, dtype=np.int64)
-    return (pts.astype(np.int64) + bound) @ weights
+class CodeOverflow(Exception):
+    """Coordinate bounds too wide for an int64 site code (SiteCode)."""
 
 
-def _block_flips(pts: np.ndarray, k: int) -> np.ndarray:
-    """Rows whose block starting at column k is not in canonical form."""
-    a, b = pts[:, k], pts[:, k + 1]
+class SiteCode:
+    """Injective int64 code of integer rows in [-bounds[c], bounds[c]] per
+    column c: balanced digits in radix 2 bounds[c] + 1, first column most
+    significant, so a bound of 0 costs a factor of 1.  Code order is
+    lexicographic order (sorted site lists have sorted codes),
+    encode(x) + encode(y) = encode(x + y) while x + y stays in range,
+    decode inverts encode, and a row is canonical iff its block_codes are
+    >= 0.  Raises CodeOverflow unless the radices' product is < 2^63."""
+
+    __slots__ = ("radices", "places")
+
+    def __init__(self, bounds):
+        radices = [2 * b + 1 for b in np.asarray(bounds).tolist()]
+        places = [1]
+        for r in radices[:0:-1]:
+            places.append(places[-1] * r)
+        if places[-1] * radices[0] >= 2**63:
+            raise CodeOverflow(f"coordinate bounds {[r // 2 for r in radices]} span over 2^63 site codes")
+        self.radices = np.array(radices, dtype=np.int64)
+        self.places = np.array(places[::-1], dtype=np.int64)  # encode of each unit row
+
+    def encode(self, pts: np.ndarray) -> np.ndarray:
+        return pts.astype(np.int64, copy=False) @ self.places
+
+    def decode(self, codes: np.ndarray) -> np.ndarray:
+        # codes + (span - 1) / 2 is the unbalanced code of rows + bounds
+        span = int(self.radices[0] * self.places[0])
+        return (codes[:, None] + span // 2) // self.places % self.radices - self.radices // 2
+
+    def block_codes(self, pts: np.ndarray) -> np.ndarray:
+        """(n, d) two-digit codes of each row's blocks, columns 2k and 2k+1
+        coded alone: additive like encode."""
+        return pts[:, 0::2] * self.radices[1::2] + pts[:, 1::2]
+
+
+def extent(pts: np.ndarray) -> np.ndarray:
+    """Largest |coordinate| per column (0 without rows): the narrowest code's bounds."""
+    return np.abs(pts).max(axis=0, initial=0)
+
+
+def _block_flips(pts: np.ndarray) -> np.ndarray:
+    """(n, d) mask of the blocks not in canonical form: the first nonzero
+    entry is negative."""
+    a, b = pts[:, 0::2], pts[:, 1::2]
     return (a < 0) | ((a == 0) & (b < 0))
 
 
 def canonicalize_array(pts: np.ndarray) -> np.ndarray:
     """Vectorized per-block canonical representative of each row."""
-    out = pts.copy()
-    for k in range(0, pts.shape[1], 2):
-        flip = _block_flips(out, k)
-        out[flip, k] *= -1
-        out[flip, k + 1] *= -1
-    return out
+    return pts * np.repeat(np.where(_block_flips(pts), -1, 1), 2, axis=1)
 
 
 def is_canonical_array(pts: np.ndarray) -> np.ndarray:
     """Vectorized is_canonical: True for rows that are their own representative."""
-    keep = np.ones(len(pts), dtype=bool)
-    for k in range(0, pts.shape[1], 2):
-        keep &= ~_block_flips(pts, k)
-    return keep
+    return ~_block_flips(pts).any(axis=1)
 
 
 def orbits_array(pts: np.ndarray) -> np.ndarray:

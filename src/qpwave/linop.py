@@ -78,14 +78,13 @@ def kernel_series(u: QPSeries, p: int) -> QPSeries:
 
 class _SiteLookup:
     """Row of any site in a list of distinct sites in lexicographic order
-    (so in code order): one lattice.encode and one searchsorted."""
+    (so in code order): one lattice.SiteCode encode and one searchsorted."""
 
     def __init__(self, sites: np.ndarray):
-        self.bound = int(np.abs(sites).max(initial=0))
-        self.codes = lattice.encode(sites, self.bound)
+        self.bound = lattice.extent(sites)  # per column
+        self.code = lattice.SiteCode(self.bound)
+        self.codes = self.code.encode(sites)
         self.columns = np.ascontiguousarray(sites.T)
-        # encode's place values: encode(x - y) = encode(x) - y @ place
-        self.place = (2 * self.bound + 1) ** np.arange(sites.shape[1] - 1, -1, -1, dtype=np.int64)
 
     def _find(self, codes: np.ndarray) -> np.ndarray:
         pos = np.searchsorted(self.codes, codes)
@@ -95,17 +94,19 @@ class _SiteLookup:
 
     def rows(self, pts: np.ndarray) -> np.ndarray:
         """Row of each row of pts in the list, -1 where it has none."""
+        # an outside row's code can equal a listed one's (codes are signed,
+        # and -1 is one of them), so mask after the lookup
         inside = np.all(np.abs(pts) <= self.bound, axis=1)
-        return self._find(np.where(inside, lattice.encode(pts, self.bound), -1))
+        return np.where(inside, self._find(self.code.encode(pts)), -1)
 
     def shifted(self, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(i, row of site i - off) for every listed site i whose shifted
         site is listed."""
         inside = np.ones(len(self.codes), dtype=bool)
-        for x, o in zip(self.columns, off.tolist()):
-            inside &= (x >= o - self.bound) & (x <= o + self.bound)
+        for x, o, b in zip(self.columns, off.tolist(), self.bound.tolist()):
+            inside &= (x >= o - b) & (x <= o + b)
         i = np.flatnonzero(inside)
-        rows = self._find(self.codes[i] - int(off @ self.place))
+        rows = self._find(self.codes[i] - int(off @ self.code.places))  # the code is additive
         hit = rows >= 0
         return i[hit], rows[hit]
 

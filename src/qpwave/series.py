@@ -12,16 +12,19 @@ stored value, m(j) = number of nonzero blocks; that factor appears only in
 physical-space evaluation.
 
 One routine, QPSeries.orbit_members, expands a series to every orbit
-member in lexicographic order; it alone feeds convolve, the kernel-offset
-loops of operator assembly, the evolution state (dynamics.ComplexSeries
-.from_profile) and the read-only coeffs view.  Convolutions are
-computed by direct sparse accumulation on integer site arrays: every pair
-of member sites, (sorted A) x (sorted B), whose sum is canonical
-contributes its product, and each canonical value is a bincount in that
-pair order, so it is the same floating-point sum as a sequential loop.
-add shares that accumulator.  Every convolution value is the exact full
-sum over all pairs of factor sites, on the product's whole support; the
-only truncation is truncate().
+member in lexicographic order, once per series; it alone feeds convolve,
+the kernel-offset loops of operator assembly, the evolution state
+(dynamics.ComplexSeries.from_profile) and the read-only coeffs view.
+Sites are sorted and grouped on one additive int64 code (lattice.SiteCode,
+in radices from the operands' extents): a pair of member sites, (sorted
+A) x (sorted B), whose sum is canonical (its block codes, the sums of the
+pair's, are >= 0) contributes its product at the sum of their codes, and
+each canonical value is a bincount over the codes' np.unique groups in
+that pair order, so it is the same floating-point sum as a sequential
+loop; only distinct sums are decoded to rows.  add shares that
+accumulator.  Every convolution value is the exact full sum over all pairs
+of factor sites, on the product's whole support; the only truncation is
+truncate().
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .lattice import Index, Region, canonical, is_canonical_array, orbit_sizes_array, orbits_array
+from .lattice import (Index, Region, SiteCode, canonical, extent, is_canonical_array, orbit_sizes_array,
+                      orbits_array)
 
 
 class InsufficientData(Exception):
@@ -47,15 +51,16 @@ class QPSeries:
     on the whole orbit of sites[i].  The constructor does not check its
     arrays: build series with zero, delta or from_canonical.  Immutable by
     convention: no method mutates sites or vals after construction, so
-    instances can be shared freely.
+    instances can be shared freely and the orbit members are cached.
     """
 
-    __slots__ = ("d", "sites", "vals")
+    __slots__ = ("d", "sites", "vals", "_members")
 
     def __init__(self, d: int, sites: np.ndarray, vals: np.ndarray):
         self.d = d
         self.sites = sites
         self.vals = vals
+        self._members = None
 
     @staticmethod
     def zero(d: int) -> "QPSeries":
@@ -83,16 +88,19 @@ class QPSeries:
         bad = ~np.isfinite(vals)
         if np.any(bad):
             raise ValueError(f"non-finite coefficient at {tuple(sites[np.argmax(bad)].tolist())}")
-        order, _ = _lex_distinct(sites)
+        order = np.argsort(SiteCode(extent(sites)).encode(sites))
         return QPSeries(d, sites[order], vals[order])
 
     def orbit_members(self) -> tuple[np.ndarray, np.ndarray]:
         """Every orbit member of every site with its value, members in
-        lexicographic order."""
-        members = orbits_array(self.sites)  # sign pattern major; zero blocks repeat members
-        order, first = _lex_distinct(members)
-        keep = order[first]
-        return members[keep], self.vals[keep % len(self.vals)]
+        lexicographic order; read-only arrays, formed on the first call."""
+        if self._members is None:
+            members = orbits_array(self.sites)  # sign pattern major; zero blocks repeat members
+            _, first = np.unique(SiteCode(extent(self.sites)).encode(members), return_index=True)  # same extents
+            self._members = members[first], self.vals[first % len(self.vals)]
+            for a in self._members:
+                a.flags.writeable = False
+        return self._members
 
     @property
     def coeffs(self) -> MappingProxyType:
@@ -118,15 +126,13 @@ class QPSeries:
         sq = orbit_sizes_array(self.sites) * (self.vals * self.vals)
         return math.sqrt(math.fsum(sq.tolist()))
 
-    def linf_norm(self) -> float:
-        return float(np.abs(self.vals).max(initial=0.0))
-
     def add(self, other: "QPSeries") -> "QPSeries":
         """Sum, added self then other at each site; exact zeros dropped."""
         if other.d != self.d:
             raise ValueError("dimension mismatch")
-        return _accumulate(self.d, np.concatenate([self.sites, other.sites]),
-                           np.concatenate([self.vals, other.vals]))
+        sites = np.concatenate([self.sites, other.sites])
+        code = SiteCode(extent(sites))
+        return _accumulate(self.d, code.encode(sites), np.concatenate([self.vals, other.vals]), code)
 
     def scale(self, c) -> "QPSeries":
         """c times the series; c is a number or one factor per site."""
@@ -136,29 +142,17 @@ class QPSeries:
         return f"QPSeries(d={self.d}, support={self.support_size()}, l2={self.l2_norm():.3e})"
 
 
-def _lex_distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lexicographic order of an (n, k) int array's rows, and a mask over
-    that order marking the first row of each distinct value."""
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    first = np.empty(len(rows), dtype=bool)
-    first[:1] = True
-    (rows[1:] != rows[:-1]).any(axis=1, out=first[1:])
-    return order, first
-
-
-def _accumulate(d: int, sites: np.ndarray, vals: np.ndarray) -> QPSeries:
-    """Series whose value at each distinct row of sites (all canonical) is
-    the sum of that row's vals in input order; exact zeros are dropped."""
-    if len(sites) == 0:
+def _accumulate(d: int, codes: np.ndarray, vals: np.ndarray, code: SiteCode) -> QPSeries:
+    """Series whose value at each distinct code (of a canonical site) is the
+    sum of that code's vals in input order; exact zeros are dropped."""
+    if len(codes) == 0:
         return QPSeries.zero(d)
-    order, first = _lex_distinct(sites)
-    group = np.empty(len(order), dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
+    # return_index sorts stably: fast on the sorted runs convolve and add pass
+    distinct, _, group = np.unique(codes, return_index=True, return_inverse=True)
     # bincount adds each bin's weights in input order, starting from 0.0
     acc = np.bincount(group, weights=vals)
     nz = acc != 0.0
-    return QPSeries(d, sites[order[first][nz]], acc[nz])
+    return QPSeries(d, code.decode(distinct[nz]), acc[nz])
 
 
 def convolve(A: QPSeries, B: QPSeries) -> QPSeries:
@@ -173,10 +167,13 @@ def convolve(A: QPSeries, B: QPSeries) -> QPSeries:
     (ja, va), (jb, vb) = A.orbit_members(), B.orbit_members()
     if len(ja) > len(jb):
         (ja, va), (jb, vb) = (jb, vb), (ja, va)
-    sums = (ja[:, None, :] + jb[None, :, :]).reshape(-1, 2 * A.d)
-    prods = (va[:, None] * vb[None, :]).ravel()
-    keep = is_canonical_array(sums)
-    return _accumulate(A.d, sums[keep], prods[keep])
+    code = SiteCode(extent(A.sites) + extent(B.sites))  # every pair sum's extent
+    ba, bb = code.block_codes(ja), code.block_codes(jb)
+    keep = ba[:, None, 0] + bb[None, :, 0] >= 0  # the sums' block codes
+    for k in range(1, A.d):
+        keep &= ba[:, None, k] + bb[None, :, k] >= 0
+    ia, ib = np.nonzero(keep)  # the canonical pairs, in pair order
+    return _accumulate(A.d, code.encode(ja)[ia] + code.encode(jb)[ib], va[ia] * vb[ib], code)
 
 
 def conv_power(A: QPSeries, m: int) -> QPSeries:
@@ -187,29 +184,6 @@ def conv_power(A: QPSeries, m: int) -> QPSeries:
     for _ in range(m - 1):
         out = convolve(out, A)
     return out
-
-
-def evaluate(A: QPSeries, lam, x) -> float:
-    """Value of the cosine profile at the physical point x (length d).
-
-    Sums 2**m(j) * A(j) * prod_k cos((j_k . lambda_k) x_k) over canonical
-    representatives, which equals the full exponential-basis sum because A
-    is symmetric.
-    """
-    if len(lam) != 2 * A.d:
-        raise ValueError("frequency dimension mismatch")
-    if len(x) != A.d:
-        raise ValueError(f"evaluation point must have {A.d} coordinates")
-    total = 0.0
-    for j, v in zip(A.sites.tolist(), A.vals.tolist()):
-        term = v
-        for k in range(A.d):
-            a, b = j[2 * k], j[2 * k + 1]
-            if a == 0 and b == 0:
-                continue
-            term *= 2.0 * math.cos((a * lam[2 * k] + b * lam[2 * k + 1]) * x[k])
-        total += term
-    return total
 
 
 def truncate(A: QPSeries, box: Region, drop_tol: float = 0.0) -> QPSeries:
@@ -259,12 +233,3 @@ def fit_shell_decay(shell_max: dict[int, float], min_distance: int) -> DecayFit:
     rms = float(np.sqrt(np.mean(resid * resid))) / math.log(10.0)
     return DecayFit(rate=float(-slope), prefactor=float(np.exp(intercept)),
                     residual_rms=rms, min_distance_used=int(min_distance))
-
-
-def decay_fit(A: QPSeries, min_distance: int = 1) -> DecayFit:
-    """Exponential decay fit of |A| against l-infinity distance from the origin."""
-    shell_max: dict[int, float] = {}
-    for s, m in zip(np.abs(A.sites).max(axis=1, initial=0).tolist(), np.abs(A.vals).tolist()):
-        if m > shell_max.get(s, 0.0):
-            shell_max[s] = m
-    return fit_shell_decay(shell_max, min_distance)

@@ -283,18 +283,20 @@ def residual(u: QPSeries, E: float, lam: Frequency, p: int,
 
 
 def newton_step(u: QPSeries, E: float, cfg: ProblemConfig, N: int,
-                chain: tuple[QPSeries, QPSeries] | None = None) -> tuple[QPSeries, float]:
+                chain: tuple[QPSeries, QPSeries] | None = None,
+                F: QPSeries | None = None) -> tuple[QPSeries, float]:
     """One truncated Newton increment on the box minus the resonant orbit.
 
     Returns (increment, residual norm before the step).  The system is
     solved on the coupled set (lattice.coupled_sites) only; the increment is
     exactly 0 on the rest of the box and on the pinned orbit.  chain is
-    powers(u, cfg.p), formed here when not supplied.  Asserts that the
-    pinned equations vanish for the supplied E, which they must when E came
-    from q_update on the same iterate.
+    powers(u, cfg.p) and F residual(u, E, cfg.lam, cfg.p), each formed here
+    when not supplied.  Asserts that the pinned equations vanish for the
+    supplied E, which they must when E came from q_update on the same iterate.
     """
     half, power = powers(u, cfg.p) if chain is None else chain
-    F = residual(u, E, cfg.lam, cfg.p, box=None, power=power)
+    if F is None:
+        F = residual(u, E, cfg.lam, cfg.p, power=power)
     if cfg.a > 0:
         q_resid = abs(F.get(cfg.jtilde))
         if q_resid > 1e-15 * cfg.a:
@@ -340,7 +342,8 @@ def solve(cfg: ProblemConfig) -> SolutionRecord:
     u, _ = initial_guess(cfg)
     chain = powers(u, cfg.p)
     E = q_update(u, cfg, power=chain[1])
-    resid = residual(u, E, cfg.lam, cfg.p, box=final_box, power=chain[1]).l2_norm()
+    F = residual(u, E, cfg.lam, cfg.p, power=chain[1])  # the next Newton step's too
+    resid = F.scale(final_box.contains_array(F.sites)).l2_norm()  # F on the final box
     accepted = resid <= cfg.residual_tol
 
     def make_record(accepted_flag: bool) -> SolutionRecord:
@@ -361,12 +364,13 @@ def solve(cfg: ProblemConfig) -> SolutionRecord:
         t0 = time.perf_counter()
         N_r = min(cfg.M ** r, cfg.N_max)
         E_r = E  # q_update of the current iterate, computed when it was formed
-        delta, _ = newton_step(u, E_r, cfg, N_r, chain)
+        delta, _ = newton_step(u, E_r, cfg, N_r, chain, F)
         u = truncate(u.add(delta), Region.full_box(N_r), cfg.drop_tol)
         _assert_iterate_invariants(u, cfg)
         chain = powers(u, cfg.p)
         E = q_update(u, cfg, power=chain[1])
-        resid = residual(u, E, cfg.lam, cfg.p, box=final_box, power=chain[1]).l2_norm()
+        F = residual(u, E, cfg.lam, cfg.p, power=chain[1])
+        resid = F.scale(final_box.contains_array(F.sites)).l2_norm()
         trace.append(TraceStep(
             r=r, N=N_r, incr_norm=delta.l2_norm(), resid_norm=resid, E=E_r,
             support=u.support_size(), seconds=time.perf_counter() - t0,

@@ -9,7 +9,8 @@ profile from NumPy's inverse and eigh of the whole matrix, sharing no
 code with the block-wise one it checks; full_box_evolve integrates the
 flow on the dense [-N, N]^(2d) grid with 2d-dimensional FFTs, against
 evolution on the affine coset that holds the state's support.  The
-ComplexSeries helpers read and build the evolution state as a dict.
+ComplexSeries helpers read and build the evolution state as a dict;
+evaluate and decay_fit read a profile at a point and its decay.
 """
 
 import itertools
@@ -143,6 +144,33 @@ def random_symmetric_series(d: int, rng, n_orbits: int = 4, box_n: int = 4,
         j = tuple(int(rng.integers(-box_n, box_n + 1)) for _ in range(2 * d))
         canon[canonical(j)] = float(rng.normal()) * scale
     return QPSeries.from_canonical(d, canon)
+
+
+def evaluate(A: QPSeries, lam, x) -> float:
+    """Value of the cosine profile at the physical point x (length d), one
+    canonical site at a time: 2**m(j) * A(j) * prod_k cos((j_k . lambda_k) x_k)
+    summed over canonical representatives, which equals the full
+    exponential-basis sum because A is symmetric."""
+    total = 0.0
+    for j, v in zip(A.sites.tolist(), A.vals.tolist()):
+        term = v
+        for k in range(A.d):
+            a, b = j[2 * k], j[2 * k + 1]
+            if a == 0 and b == 0:
+                continue
+            term *= 2.0 * math.cos((a * lam[2 * k] + b * lam[2 * k + 1]) * x[k])
+        total += term
+    return total
+
+
+def decay_fit(A: QPSeries, min_distance: int = 1):
+    """Exponential decay fit (fit_shell_decay) of |A| against l-infinity
+    distance from the origin."""
+    shell_max: dict[int, float] = {}
+    for s, m in zip(np.abs(A.sites).max(axis=1, initial=0).tolist(), np.abs(A.vals).tolist()):
+        if m > shell_max.get(s, 0.0):
+            shell_max[s] = m
+    return fit_shell_decay(shell_max, min_distance)
 
 
 def profile_values(series: QPSeries, lam, xs: np.ndarray) -> np.ndarray:

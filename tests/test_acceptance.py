@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from helpers import (GOOD_JT, GOOD_LAM, GOOD_LAM_D2, GOOD_JT_D2, brute_conv_power, coeffs_of, complex_series,
-                     random_symmetric_series)
+                     decay_fit, random_symmetric_series)
 from qpwave import linop
 from qpwave.diagnostics import bifurcation_scan, lambda_sweep
 from qpwave.dynamics import ComplexSeries, evolve, standing_wave_deviation
 from qpwave.lattice import Region, orbit, symbol
 from qpwave.linop import assemble, covariance_discrepancy, greens_profile
-from qpwave.series import QPSeries, conv_power, convolve, decay_fit
+from qpwave.series import QPSeries, conv_power, convolve
 from qpwave.solver import ProblemConfig, initial_guess, newton_step, q_update, residual, solve
 
 D3_LAM = (1.05, 0.723, 0.8, 1.31, 1.21, 0.57)

@@ -76,6 +76,15 @@ def test_solve_rejects_planted_resonance(tmp_path, capsys):
     assert "separation margin 0" in capsys.readouterr().err
 
 
+def test_solve_too_wide_for_a_site_code_is_a_domain_rejection(tmp_path, capsys):
+    # the first u^(*3) spans radices 1801 and 1795 in each block: over int64
+    code = cli.main(["solve", "--d", "3", "--M", "300", "--n-max", "300", "--force",
+                     "--jtilde", "300,299,300,299,300,299",
+                     "--lambda", "1.05,0.723,0.8,1.31,1.21,0.57", "--out", str(tmp_path)])
+    assert code == 2
+    assert "span over 2^63 site codes" in capsys.readouterr().err
+
+
 def test_store_load_roundtrip_byte_identical(tmp_path):
     cfg = ProblemConfig(d=1, p=1, a=0.01, jtilde=GOOD_JT, lam=GOOD_LAM)
     rec = solve(cfg)

@@ -2,15 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from helpers import odd_multiple, site_tuples
 from qpwave import lattice
 from qpwave.lattice import (
+    CodeOverflow,
     Region,
+    SiteCode,
     block_inner,
     canonical,
-    encode,
     is_canonical,
+    is_canonical_array,
     linf,
     orbit,
     symbol,
@@ -128,10 +132,94 @@ def test_full_box_closed_under_orbit():
         assert orbit(j) <= sites
 
 
+def test_box_minus_membership_holds_at_any_scale():
+    # no site code: at d=3 and N = 10^6 one in radix 2N + 1 would wrap
+    N = 10**6
+    region = Region.box_minus(N, orbit((1, 0, 0, 1, 1, 0)))
+    pts = np.array([[1, 0, 0, 1, 1, 0], [-1, 0, 0, -1, 1, 0], [1, 0, 0, 1, 1, 1], [N] * 6, [N + 1] + [0] * 5])
+    assert region.contains_array(pts).tolist() == [False, False, True, True, False]
+
+
 def test_encode_monotone_with_lex_order():
     pts = lattice.sites_array(Region.full_box(2), 1)
-    codes = encode(pts, 5)
+    codes = SiteCode([5, 5]).encode(pts)
     assert np.all(np.diff(codes) > 0)
+
+
+@st.composite
+def _rows(draw, d: int, n_max=40):
+    """(bounds, rows): a bound per column (0 for some), and rows in those
+    bounds that include each column's -bound and +bound.  Twice the widest
+    bounds still span fewer than 2^63 codes at d = 3 (1201^6)."""
+    bounds = np.array(draw(st.lists(st.sampled_from([0, 1, 2, 5, 300]), min_size=2 * d, max_size=2 * d)))
+    n = draw(st.integers(0, n_max))
+    cols = [draw(st.lists(st.integers(-int(b), int(b)), min_size=n, max_size=n)) for b in bounds]
+    rows = np.array(cols, dtype=np.int64).T.reshape(n, 2 * d)
+    return bounds, np.concatenate([rows, [-bounds, bounds], np.diag(bounds), -np.diag(bounds)])
+
+
+_DIMS = st.sampled_from([1, 2, 3])
+
+
+@seed(0)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_DIMS.flatmap(_rows))
+def test_code_order_is_lexsort_order_and_decode_inverts_encode(case):
+    bounds, rows = case
+    code = SiteCode(bounds)
+    codes = code.encode(rows)
+    assert codes.dtype == np.int64
+    # injective, so a stable sort of the codes is the stable lexsort
+    assert np.array_equal(np.argsort(codes, kind="stable"), np.lexsort(rows.T[::-1]))
+    assert np.array_equal(code.decode(codes), rows)
+
+
+@seed(0)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_DIMS.flatmap(lambda d: st.tuples(_rows(d), _rows(d))))
+def test_codes_and_block_codes_are_additive(pair):
+    (bx, x), (by, y) = pair
+    n = min(len(x), len(y))
+    x, y, code = x[:n], y[:n], SiteCode(bx + by)  # x + y is in range
+    assert np.array_equal(code.encode(x) + code.encode(y), code.encode(x + y))
+    assert np.array_equal(code.block_codes(x) + code.block_codes(y), code.block_codes(x + y))
+    assert np.array_equal(code.decode(code.encode(x) + code.encode(y)), x + y)
+
+
+@seed(0)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_DIMS.flatmap(_rows))
+def test_block_codes_test_canonicity(case):
+    bounds, rows = case
+    want = [is_canonical(row) for row in map(tuple, rows.tolist())]
+    assert (SiteCode(bounds).block_codes(rows) >= 0).all(axis=1).tolist() == want
+    assert is_canonical_array(rows).tolist() == want
+
+
+def _widest(d: int) -> int:
+    """Largest b whose 2d radices 2b + 1 span fewer than 2^63 codes."""
+    b = int((2**63) ** (1 / (2 * d)) / 2) + 2
+    while (2 * b + 1) ** (2 * d) >= 2**63:
+        b -= 1
+    return b
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_codes_fill_int64_and_overflow_is_rejected(d):
+    b = _widest(d)
+    extremes = np.array([[-b] * (2 * d), [b] * (2 * d), [b, -b] * d], dtype=np.int64)
+    code = SiteCode([b] * (2 * d))
+    codes = code.encode(extremes)
+    assert codes[1] == ((2 * b + 1) ** (2 * d) - 1) // 2 == -codes[0]
+    assert np.array_equal(code.decode(codes), extremes)
+    with pytest.raises(CodeOverflow):
+        SiteCode([b + 1] * (2 * d))
+    # a column bound of 0 costs a factor of 1, and of 1 a factor of 3
+    wide = [0] * (2 * d - 1) + [2**61]
+    rows = np.array([wide, [-w for w in wide]], dtype=np.int64)
+    assert np.array_equal(SiteCode(wide).decode(SiteCode(wide).encode(rows)), rows)
+    with pytest.raises(CodeOverflow):
+        SiteCode([1] * (2 * d - 1) + [2**61])
 
 
 def test_sites_array_matches_enumeration():

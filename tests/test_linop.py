@@ -608,3 +608,23 @@ def test_linearized_matrix_matches_definition_translated_list(d, lam, j0):
     M_def = assembly_oracle(sites, [theta_symbol(j, lam, theta) - 1.1 for j in sites],
                             T.kernel, members.__contains__)
     _assert_matches_oracle(T.to_dense(), M_def)
+
+
+def test_site_lookup_finds_no_row_for_sites_outside_its_bound():
+    # codes are signed: (1, -4) and (-1, 2) share the code -1 of the listed
+    # (0, -1) in radices 1 and 3, so only the bounds tell them apart
+    lookup = linop._SiteLookup(np.array([[0, -1], [0, 0], [0, 1]], dtype=np.int64))
+    pts = np.array([[1, -4], [0, -1], [-1, 2], [0, 1], [2, 0]], dtype=np.int64)
+    assert lookup.rows(pts).tolist() == [-1, 0, -1, 2, -1]
+
+
+def test_site_lookup_codes_each_column_within_its_own_extent():
+    # d=3 sites on the blocks of jtilde 1,0,0,1,1,0 at N = 10^6: a code in
+    # radix 2N + 1 for all six columns would span 10^38 values, one in the
+    # three used columns' radices spans 8e18 < 2^63
+    N = 10**6
+    sites = np.array([[-N, 0, 0, -N, -N, 0], [0] * 6, [1, 0, 0, 1, 1, 0], [N, 0, 0, N, N, 0]], dtype=np.int64)
+    lookup = linop._SiteLookup(sites)
+    pts = np.array([[N, 0, 0, N, N, 0], [1, 0, 0, 1, 1, 0], [1, 0, 0, 1, 0, 1], [0] * 6], dtype=np.int64)
+    assert lookup.rows(pts).tolist() == [3, 2, -1, 1]
+    assert [r.tolist() for r in lookup.shifted(np.array([1, 0, 0, 1, 1, 0]))] == [[2], [1]]

@@ -321,9 +321,9 @@ def test_newton_iterates_and_increments_live_on_the_coupled_set(cfg):
     # multiples of the seed's blocks; each increment is the whole box's
     real, compared = solver.newton_step, []
 
-    def checked(u, E, cfg, N, chain=None):
+    def checked(u, E, cfg, N, chain=None, F=None):
         _assert_on_odd_multiples(u, cfg.jtilde)
-        delta, resid = real(u, E, cfg, N, chain)
+        delta, resid = real(u, E, cfg, N, chain, F)
         try:
             oracle = _whole_box_increment(u, E, cfg, N)
         except SingularOperator:

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import GOOD_LAM, brute_conv_power, brute_convolve, profile_values, random_symmetric_series, seed_series
-from qpwave.lattice import Region, orbit
+from helpers import (GOOD_LAM, brute_conv_power, brute_convolve, decay_fit, evaluate, profile_values,
+                     random_symmetric_series, seed_series)
+from qpwave.lattice import CodeOverflow, Region, orbit
 from qpwave.series import (
     DecayFit,
     InsufficientData,
     QPSeries,
     conv_power,
     convolve,
-    decay_fit,
-    evaluate,
     truncate,
 )
 
@@ -204,3 +203,12 @@ def test_non_finite_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=r"non-finite coefficient at \(1, 1\)"):
             QPSeries.from_canonical(1, {(0, 0): 1.0, (1, 1): bad})
+
+
+def test_convolve_rejects_supports_too_wide_for_a_site_code():
+    # the pair sums' per-column extents set the radices: 1201 and 1197 in
+    # each block's two columns fit in int64 at d = 3, 1801 and 1795 do not
+    u = QPSeries.delta(3, 1.0, (300, 299) * 3)
+    half = convolve(u, u)
+    with pytest.raises(CodeOverflow):
+        convolve(half, u)

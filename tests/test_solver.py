@@ -1,13 +1,15 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import GOOD_JT, GOOD_JT_D2, GOOD_LAM, GOOD_LAM_D2, brute_conv_power, count_convolutions, seed_series
+from helpers import (GOOD_JT, GOOD_JT_D2, GOOD_LAM, GOOD_LAM_D2, brute_conv_power, count_convolutions, evaluate,
+                     seed_series)
 from qpwave import lattice, linop, solver
 from qpwave.lattice import Region, is_canonical, orbit, symbol
-from qpwave.series import QPSeries, evaluate
+from qpwave.series import QPSeries
 from qpwave.solver import (
     DivergedIncrement,
     MixedDegenerateIndex,
@@ -294,9 +296,9 @@ def test_diverged_increment_detected(monkeypatch):
     calls = {"n": 0}
     real_step = solver.newton_step
 
-    def fake_step(u, E, cfg, N, chain=None):
+    def fake_step(u, E, cfg, N, chain=None, F=None):
         calls["n"] += 1
-        delta, resid = real_step(u, E, cfg, N, chain)
+        delta, resid = real_step(u, E, cfg, N, chain, F)
         return delta.scale(10.0 ** calls["n"]), resid
 
     monkeypatch.setattr(solver, "newton_step", fake_step)
@@ -308,16 +310,21 @@ def test_diverged_increment_detected(monkeypatch):
 @pytest.mark.parametrize("d", [1, 2])
 def test_solve_forms_one_convolution_chain_per_iterate(monkeypatch, d, p):
     # u^(*2p) takes 2p - 1 products and u^(*(2p+1)) one more; each iterate,
-    # the seed included, forms that chain once for its kernel, E and residual
+    # the seed included, forms that chain once for its kernel, E and
+    # residual, and its residual once for the acceptance test and the next step
     if d == 1:
         cfg = good_cfg(p=p, a=0.05)
     else:
         cfg = ProblemConfig(d=2, p=p, a=0.05, jtilde=GOOD_JT_D2, lam=GOOD_LAM_D2, M=2, N_max=4)
     calls = count_convolutions(monkeypatch)
+    residuals = []
+    real_residual = solver.residual
+    monkeypatch.setattr(solver, "residual", lambda *a, **k: residuals.append(1) or real_residual(*a, **k))
     rec = solve(replace(cfg, precheck=False))
     steps = len(rec.trace.steps)
     assert rec.accepted and steps >= 2
     assert calls["n"] == 2 * p * (steps + 1)
+    assert len(residuals) == steps + 1
 
 
 def test_solve_d2_end_to_end():
@@ -404,3 +411,20 @@ def fixed_point_solution(cfg, damping=0.8, sweeps=400, tol=1e-14):
             return candidate
         u = candidate
     return u
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (good_cfg(), "02d356d776d911beb0f1e092c60c336682c13a46a39d60778f342fa99fd9fdf3"),
+    (ProblemConfig(d=2, p=2, a=0.08, M=2, jtilde=GOOD_JT_D2, lam=(1.05, 0.723, 0.8, 1.31), precheck=False),
+     "327da93796274102ab679956a976c260a6a8c73af4eac5954a9118820c2f27dd"),
+    (ProblemConfig(d=3, M=2, jtilde=(1, 0, 0, 1, 1, 0), lam=(1.05, 0.723, 0.8, 1.31, 1.21, 0.57), precheck=False),
+     "c58a4c40d712ad4d9af8d526753df5e005879081a17e767304747317c0415f14"),
+], ids=["d1-stored", "d2-longest-chain", "d3"])
+def test_solve_is_bit_identical_to_pinned_digests(cfg, digest):
+    """sha256 of repr((E, sorted coefficients)) of three solves: the stored
+    d=1 solution, the benchmark's d=2 grid point with the longest
+    convolution chain, and the d=3 solve of CI.  The digests were computed
+    at commit c7367bbc85dc, so any reordering of the accumulation, which the
+    per-call oracles may miss, changes them."""
+    rec = solve(cfg)
+    assert hashlib.sha256(repr((rec.E, sorted(rec.u.coeffs.items()))).encode()).hexdigest() == digest
