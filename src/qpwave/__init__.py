@@ -18,11 +18,9 @@ from .linop import (
     OperatorTooLarge,
     ReducedOperator,
     SingularOperator,
-    apply,
     assemble,
     covariance_discrepancy,
     greens_profile,
-    solve_linear,
 )
 from .solver import (
     DivergedIncrement,

@@ -172,15 +172,17 @@ def _floats_csv(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
 
 
-def _add_problem_flags(p: _Parser):
+_LAMBDA_HELP = "frequency vector, 2d comma-separated floats in (0.5,1.5)"
+
+
+def _add_problem_flags(p: _Parser, lambda_help: str = _LAMBDA_HELP):
     """The configuration's flags, stored under effective_config's keys."""
     flags = [
         p.add_argument("--d", type=int, help="number of blocks (default 1)"),
         p.add_argument("--p", type=int, help="nonlinearity exponent (default 1)"),
         p.add_argument("--a", type=float, help="bifurcation amplitude (default 0.01)"),
         p.add_argument("--jtilde", type=_ints_csv, help="seed index, 2d comma-separated ints, e.g. 1,0"),
-        p.add_argument("--lambda", dest="lambda", type=_floats_csv,
-                       help="frequency vector, 2d comma-separated floats in (0.5,1.5)"),
+        p.add_argument("--lambda", dest="lambda", type=_floats_csv, help=lambda_help),
         p.add_argument("--M", type=int, help="scale base (default 3)"),
         p.add_argument("--n-max", dest="N_max", type=int,
                        help="largest box scale (default 30 for d=1, 8 otherwise)"),
@@ -353,7 +355,8 @@ def build_parser() -> _Parser:
     ps.set_defaults(func=_cmd_solve)
 
     pw = sub.add_parser("sweep-lambda", help="frequency acceptance sweep")
-    _add_problem_flags(pw)
+    _add_problem_flags(pw, lambda_help=_LAMBDA_HELP + "; recorded in report.json's config, "
+                       "but every sample draws its own frequency vector")
     pw.add_argument("--n-samples", type=int, default=200, help="(default 200)")
     pw.add_argument("--seed", type=int, default=0, help="(default 0)")
     pw.add_argument("--sep-n", type=int, default=None,

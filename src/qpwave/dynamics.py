@@ -310,15 +310,12 @@ class EvolveResult:
 
 def evolve(C0: ComplexSeries, lam: Frequency, p: int, T: float, dt: float,
            box: Region, checkpoint_every: int = 10,
-           phase_reference: float | None = None,
-           nonlinear: bool = True) -> EvolveResult:
+           phase_reference: float | None = None) -> EvolveResult:
     """Integrate the truncated flow from C0 over [0, T] with step dt.
 
     phase_reference, when given, is an eigenvalue E; the deviation column
     then tracks ||C(t) - e^(-iEt) C0||_2 / ||C0||_2 at checkpoints.
-    nonlinear=False drops the nonlinear term, leaving the exact phase
-    rotation (a scheme sanity switch).  Raises StepUnstable when the l2
-    norm grows more than 10% in one step.
+    Raises StepUnstable when the l2 norm grows more than 10% in one step.
     """
     if not (0 < dt <= T < math.inf and T / dt < math.inf):
         raise ValueError("need dt > 0, a finite T >= dt and a finite step count T / dt")
@@ -332,13 +329,12 @@ def evolve(C0: ComplexSeries, lam: Frequency, p: int, T: float, dt: float,
 
     e_half = np.exp(-1j * _symbol_grid(coset, half, lam) * (dt / 2.0))
     e_full = e_half * e_half
-    if nonlinear:
-        wide = [(2 * p + 1) * h for h in half]
-        stage, whole = _Spectral(half, half, p), _Spectral(half, wide, p)
-        # the 1j of the flow and 0 at the rectangle's points outside the box,
-        # so the state stays 0 there; neither factor rounds
-        mask = np.where(_in_box(coset, half, full_box), 1j, 0j)
-        wide_in_box = _in_box(coset, wide, full_box)
+    wide = [(2 * p + 1) * h for h in half]
+    stage, whole = _Spectral(half, half, p), _Spectral(half, wide, p)
+    # the 1j of the flow and 0 at the rectangle's points outside the box,
+    # so the state stays 0 there; neither factor rounds
+    mask = np.where(_in_box(coset, half, full_box), 1j, 0j)
+    wide_in_box = _in_box(coset, wide, full_box)
     # the four RK4 stages, a stage input and e_full * state
     n1, n2, n3, n4, u, v = (np.zeros_like(state) for _ in range(6))
 
@@ -349,13 +345,10 @@ def evolve(C0: ComplexSeries, lam: Frequency, p: int, T: float, dt: float,
     def checkpoint(t, norm):
         times.append(t)
         masses.append(float(norm))
-        if nonlinear:
-            full = whole(state)  # the whole unaliased spectrum
-            total = float(np.linalg.norm(full))
-            full[wide_in_box] = 0.0
-            oob.append(float(np.linalg.norm(full)) / total if total > 0.0 else 0.0)
-        else:
-            oob.append(0.0)
+        full = whole(state)  # the whole unaliased spectrum
+        total = float(np.linalg.norm(full))
+        full[wide_in_box] = 0.0
+        oob.append(float(np.linalg.norm(full)) / total if total > 0.0 else 0.0)
         if phase_reference is None:
             devs.append(math.nan)
         else:
@@ -363,8 +356,7 @@ def evolve(C0: ComplexSeries, lam: Frequency, p: int, T: float, dt: float,
             devs.append(float(np.linalg.norm(drift)) / mass0 if mass0 > 0 else 0.0)
 
     def nl(g, out):
-        if nonlinear:
-            np.multiply(stage(g), mask, out=out)
+        np.multiply(stage(g), mask, out=out)
 
     prev_norm = mass0
     checkpoint(0.0, prev_norm)

@@ -104,37 +104,28 @@ def validate_frequency(lam, d: int | None = None):
     return tuple(float(c) for c in lam)
 
 
-FULL_BOX = "full_box"
-BOX_MINUS_S = "box_minus_s"
-
-
 @dataclass(frozen=True)
 class Region:
-    """A finite index region: a cube, or a cube minus an explicit set S."""
+    """A finite index region: the cube of scale N minus an explicit set S
+    (empty for the whole cube)."""
 
-    kind: str
     N: int
     S: tuple[Index, ...] = ()
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("region scale N must be >= 1")
-        if self.kind not in (FULL_BOX, BOX_MINUS_S):
-            raise ValueError(f"unknown region kind {self.kind!r}")
         for s in self.S:
             if linf(s) > self.N:
                 raise ValueError(f"excluded site {s} lies outside the box of scale {self.N}")
 
     @staticmethod
     def full_box(N: int) -> "Region":
-        return Region(FULL_BOX, N)
+        return Region(N)
 
     @staticmethod
     def box_minus(N: int, S) -> "Region":
-        return Region(BOX_MINUS_S, N, S=tuple(sorted(set(map(tuple, S)))))
-
-    def contains(self, j: Index) -> bool:
-        return linf(j) <= self.N and j not in self.S
+        return Region(N, S=tuple(sorted(set(map(tuple, S)))))
 
     def contains_array(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (n, 2d) int array."""
@@ -146,13 +137,6 @@ class Region:
     def is_orbit_closed(self) -> bool:
         """Whether membership is invariant under per-block sign flips."""
         return all(o in self.S for s in self.S for o in orbit(s))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "N": self.N,
-            "S": [list(s) for s in self.S],
-        }
 
 
 def sites_array(region: Region, d: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Truncated linearized operators: assembly, application, inversion, profiling.
+"""Truncated linearized operators: assembly, solve, inversion, profiling.
 
 The operator acts on a finite site list as
 
@@ -26,14 +26,14 @@ and spectrum exact.  Two site sets occur:
   odd multiple m * jtilde_k, so the profile carries only the frequencies
   m * omega_k, omega_k = jtilde_k . lambda_k.
 
-Every consumer reads the block list.  A linear solve is one batched LU
-solve per block size plus at most four refinement steps, under a residual
-contract whose violation, like an exactly singular block, is the resonance
-signal SingularOperator; its norm estimate is the solved matrix's, so a
-Newton step reports a resonance of the coupled set only.  As T is
-symmetric, ||T^-1||_2 = 1 / min|eig T| (inverse_norm); greens_profile
-inverts the blocks and folds each into the per-distance maxima, so no
-n x n array is formed.
+The diagnostics read LinearizedOperator's block list: as T is symmetric,
+||T^-1||_2 = 1 / min|eig T| (inverse_norm), and greens_profile inverts the
+blocks and folds each into the per-distance maxima, so no n x n array is
+formed.  The one linear solve is ReducedOperator.solve's: a dense LU of its
+matrix plus at most four refinement steps, under a residual contract whose
+violation, like an exactly singular matrix, is the resonance signal
+SingularOperator; its norm estimate is the solved matrix's, so a Newton
+step reports a resonance of the coupled set only.
 """
 
 from __future__ import annotations
@@ -141,14 +141,6 @@ def _coset_blocks(sites: np.ndarray, diag: np.ndarray, kernel: QPSeries,
     return blocks
 
 
-def _apply_blocks(blocks, x: np.ndarray) -> np.ndarray:
-    """The product of the direct sum of the blocks with x."""
-    y = np.empty_like(x)
-    for rows, A in blocks:
-        y[rows] = (A @ x[rows, None])[..., 0]
-    return y
-
-
 class LinearizedOperator:
     """Full realization on an explicit, lexicographically ordered site list."""
 
@@ -163,9 +155,6 @@ class LinearizedOperator:
     @property
     def n(self) -> int:
         return len(self.sites)
-
-    def site_index(self) -> dict[Index, int]:
-        return {tuple(s): i for i, s in enumerate(self.sites)}
 
     def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The diagonal blocks (_coset_blocks), built on first use."""
@@ -238,23 +227,15 @@ def assemble(u: QPSeries, E: float, lam: Frequency, theta, region, p: int) -> Li
     return LinearizedOperator(sites, diag, kernel, basis, region=reg)
 
 
-def apply(T: LinearizedOperator, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product in the site-list ordering."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (T.n,):
-        raise ValueError(f"vector has shape {v.shape}, operator expects ({T.n},)")
-    return _apply_blocks(T.blocks(), v)
-
-
-def _residual_contract(blocks, w, rhs, tol, norm_est):
+def _residual_contract(A, w, rhs, tol, norm_est):
     """Residual, relative residual and bound: tol, or the instance's
     floating-point floor if larger.
 
     Raises SingularOperator when the floor itself is so large that the
     solution carries no significant digits: the hallmark of a resonant
-    instance whose blocks are nearly singular but still factorize.
+    instance whose matrix is nearly singular but still factorizes.
     """
-    r = rhs - _apply_blocks(blocks, w)
+    r = rhs - A @ w
     b_norm = float(np.linalg.norm(rhs))
     if b_norm == 0.0:
         return r, 0.0, tol
@@ -269,33 +250,31 @@ def _residual_contract(blocks, w, rhs, tol, norm_est):
     return r, rel, max(tol, floor)
 
 
-def _solve(blocks, rhs: np.ndarray, tol: float) -> np.ndarray:
-    """Solve M w = rhs, M the direct sum of the blocks, by one batched LU
-    solve per block size, and iteratively refine.  Raises SingularOperator
-    when a block is exactly singular or the residual contract cannot be met.
+def _solve(A: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """Solve A w = rhs for a dense (n, n) A by LU, and iteratively refine.
+    Raises SingularOperator when A is exactly singular or the residual
+    contract cannot be met.
     """
     if np.linalg.norm(rhs) == 0.0:
         return np.zeros(len(rhs))
-    norm_est = max(float(np.abs(A).sum(axis=2).max()) for _, A in blocks)
+    norm_est = float(np.abs(A).sum(axis=1).max())
 
     def solve_once(b: np.ndarray) -> np.ndarray:
-        x = np.empty_like(b)
-        for rows, A in blocks:
-            try:
-                x[rows] = np.linalg.solve(A, b[rows, None])[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise SingularOperator(f"singular block of {A.shape[1]} sites: {exc}") from exc
+        try:
+            x = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError as exc:
+            raise SingularOperator(f"singular block of {A.shape[1]} sites: {exc}") from exc
         if not np.all(np.isfinite(x)):
             raise SingularOperator("block solve produced non-finite values")
         return x
 
     w = solve_once(rhs)
-    r, rel, bound = _residual_contract(blocks, w, rhs, tol, norm_est)
+    r, rel, bound = _residual_contract(A, w, rhs, tol, norm_est)
     for _ in range(4):
         if rel <= bound:
             break
         w = w + solve_once(r)
-        r, new_rel, bound = _residual_contract(blocks, w, rhs, tol, norm_est)
+        r, new_rel, bound = _residual_contract(A, w, rhs, tol, norm_est)
         if new_rel >= rel:
             rel = new_rel
             break
@@ -305,14 +284,6 @@ def _solve(blocks, rhs: np.ndarray, tol: float) -> np.ndarray:
             f"residual contract violated: relative residual {rel:.3e} > {bound:.3e}"
         )
     return w
-
-
-def solve_linear(T: LinearizedOperator, rhs: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    """Solve T w = rhs on the operator's site list."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (T.n,):
-        raise ValueError(f"rhs has shape {rhs.shape}, operator expects ({T.n},)")
-    return _solve(T.blocks(), rhs, tol)
 
 
 def inverse_norm(blocks) -> float:
@@ -458,10 +429,6 @@ class ReducedOperator:
             self._matrix = M * sq[:, None] / sq[None, :]
         return self._matrix
 
-    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The whole matrix as one diagonal block."""
-        return [(np.arange(self.n)[None, :], self.matrix()[None])]
-
     def solve(self, rhs_canonical: np.ndarray, tol: float = 1e-13) -> np.ndarray:
         """Solve the reduced system for values on the listed sites.
 
@@ -475,7 +442,7 @@ class ReducedOperator:
         if self.n == 0:
             return np.zeros(0)
         sq = np.sqrt(self.weights)
-        return _solve(self.blocks(), rhs_canonical * sq, tol) / sq
+        return _solve(self.matrix(), rhs_canonical * sq, tol) / sq
 
     def solve_series(self, rhs: QPSeries, tol: float = 1e-13) -> QPSeries:
         """Solve with a series right-hand side, returning a series.

@@ -10,7 +10,8 @@ code with the block-wise one it checks; full_box_evolve integrates the
 flow on the dense [-N, N]^(2d) grid with 2d-dimensional FFTs, against
 evolution on the affine coset that holds the state's support.  The
 ComplexSeries helpers read and build the evolution state as a dict;
-evaluate and decay_fit read a profile at a point and its decay.
+evaluate and decay_fit read a profile at a point and its decay; contains
+is region membership one site at a time.
 """
 
 import itertools
@@ -47,6 +48,17 @@ def canonical_sites(region, d: int) -> np.ndarray:
     list of the region's whole reduced system."""
     pts = sites_array(region, d)
     return pts[is_canonical_array(pts)]
+
+
+def contains(region: Region, j) -> bool:
+    """Whether the region holds the site j, one site at a time: the scalar
+    oracle for Region.contains_array."""
+    return max(map(abs, j)) <= region.N and tuple(j) not in region.S
+
+
+def row_index(sites) -> dict[tuple[int, ...], int]:
+    """The row of each site of an (n, 2d) site array, keyed by its tuple."""
+    return {tuple(s): i for i, s in enumerate(np.asarray(sites).tolist())}
 
 
 def odd_multiple(block, base) -> bool:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import odd_multiple, site_tuples
+from helpers import contains, odd_multiple, site_tuples
 from qpwave import lattice
 from qpwave.lattice import (
     CodeOverflow,
@@ -120,10 +120,10 @@ def test_enumeration_is_lexicographic():
 def test_box_membership_is_linf():
     region = Region.full_box(3)
     for j in [(3, 3), (-3, 0), (0, -3)]:
-        assert region.contains(j)
+        assert contains(region, j)
         assert linf(j) <= 3
     for j in [(4, 0), (0, -4), (4, 4)]:
-        assert not region.contains(j)
+        assert not contains(region, j)
 
 
 def test_full_box_closed_under_orbit():
@@ -138,6 +138,7 @@ def test_box_minus_membership_holds_at_any_scale():
     region = Region.box_minus(N, orbit((1, 0, 0, 1, 1, 0)))
     pts = np.array([[1, 0, 0, 1, 1, 0], [-1, 0, 0, -1, 1, 0], [1, 0, 0, 1, 1, 1], [N] * 6, [N + 1] + [0] * 5])
     assert region.contains_array(pts).tolist() == [False, False, True, True, False]
+    assert [contains(region, j) for j in pts.tolist()] == [False, False, True, True, False]
 
 
 def test_encode_monotone_with_lex_order():
@@ -225,7 +226,7 @@ def test_codes_fill_int64_and_overflow_is_rejected(d):
 def test_sites_array_matches_enumeration():
     region = Region.box_minus(2, orbit((1, 0)))
     arr = lattice.sites_array(region, 1)
-    expected = [j for j in itertools.product(range(-2, 3), repeat=2) if region.contains(j)]
+    expected = [j for j in itertools.product(range(-2, 3), repeat=2) if contains(region, j)]
     assert [tuple(map(int, row)) for row in arr] == expected
 
 
@@ -268,14 +269,6 @@ def test_validate_frequency_bounds():
     with pytest.raises(ValueError):
         lattice.validate_frequency((1.0, 1.5))
     assert lattice.validate_frequency((0.51, 1.49)) == (0.51, 1.49)
-
-
-def test_region_json_roundtrip_fields():
-    region = Region.box_minus(3, orbit((1, 1)))
-    doc = region.to_json_dict()
-    assert doc["kind"] == "box_minus_s"
-    assert doc["N"] == 3
-    assert sorted(map(tuple, doc["S"])) == sorted(orbit((1, 1)))
 
 
 def _max_minor_gcd(vectors) -> int:

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from helpers import (
     assembly_oracle,
     brute_conv_power,
     canonical_sites,
+    contains,
     dense_greens_profile,
     profile_with_shells,
     random_symmetric_series,
+    row_index,
     seed_series,
     site_tuples,
     theta_symbol,
@@ -25,12 +28,10 @@ from qpwave.linop import (
     LinearizedOperator,
     ReducedOperator,
     SingularOperator,
-    apply,
     assemble,
     covariance_discrepancy,
     greens_profile,
     kernel_series,
-    solve_linear,
 )
 from qpwave.series import QPSeries
 from qpwave.solver import ProblemConfig, initial_guess, q_update, solve
@@ -59,7 +60,7 @@ def test_assemble_seed_kernel_matrix_d2():
     u = QPSeries.delta(2, 0.25, jt)  # a = 1
     E = symbol(jt, D2_LAM)
     T = assemble(u, E, D2_LAM, None, Region.full_box(3), p=1)
-    idx = T.site_index()
+    idx = row_index(T.sites)
     origin = (0, 0, 0, 0)
     i0 = idx[origin]
     assert T.to_dense()[i0, idx[(2, 0, 0, 0)]] == pytest.approx(-3.0 / 8.0, abs=1e-15)
@@ -75,7 +76,7 @@ def test_diag_vanishes_on_resonant_orbit_at_linear_eigenvalue():
     u = QPSeries.delta(2, 0.01 / 4, jt)
     E = symbol(jt, D2_LAM)
     T = assemble(u, E, D2_LAM, None, Region.full_box(2), p=1)
-    idx = T.site_index()
+    idx = row_index(T.sites)
     for s in orbit(jt):
         assert T.diag[idx[s]] == 0.0
 
@@ -86,62 +87,31 @@ def test_assemble_rejects_repeated_sites():
         assemble(seed_series(1, 0.1), -1.0, GOOD_LAM, None, [(0, 0), (1, 0), (1, 0)], p=1)
 
 
-def test_apply_linear_and_matches_dense():
-    rng = np.random.default_rng(0)
-    u = random_symmetric_series(1, rng, n_orbits=3, box_n=2, scale=0.1)
-    T = assemble(u, 1.3, GOOD_LAM, None, Region.full_box(4), p=1)
-    assert np.all(apply(T, np.zeros(T.n)) == 0.0)
-    v = rng.normal(size=T.n)
-    assert np.allclose(apply(T, v), T.to_dense() @ v, rtol=1e-13, atol=1e-14)
-
-
-def test_apply_diagonal_only_is_elementwise():
-    T = assemble(QPSeries.zero(1), 0.9, GOOD_LAM, None, Region.full_box(3), p=1)
-    v = np.arange(T.n, dtype=float)
-    assert np.allclose(apply(T, v), T.diag * v, atol=0)
-
-
-def test_apply_index_mismatch():
-    T = assemble(QPSeries.zero(1), 0.9, GOOD_LAM, None, Region.full_box(2), p=1)
-    with pytest.raises(ValueError):
-        apply(T, np.zeros(T.n + 1))
-
-
-def test_solve_linear_diagonal():
-    T = assemble(QPSeries.zero(1), -0.5, GOOD_LAM, None, Region.full_box(3), p=1)
-    for i in (0, T.n // 2, T.n - 1):
-        rhs = np.zeros(T.n)
+def test_reduced_solve_diagonal():
+    # zero kernel: the reduced matrix is its diagonal
+    region = Region.full_box(3)
+    red = ReducedOperator(kernel_series(QPSeries.zero(1), 1), -0.5, GOOD_LAM, region,
+                          canonical_sites(region, 1))
+    for i in (0, red.n // 2, red.n - 1):
+        rhs = np.zeros(red.n)
         rhs[i] = 1.0
-        w = solve_linear(T, rhs)
-        expect = np.zeros(T.n)
-        expect[i] = 1.0 / T.diag[i]
+        w = red.solve(rhs)
+        expect = np.zeros(red.n)
+        expect[i] = 1.0 / red.diag[i]
         assert np.allclose(w, expect, rtol=1e-13, atol=1e-16)
 
 
-def test_solve_linear_singular_at_resonance():
+def test_reduced_solve_singular_at_resonance():
     # at the linear eigenvalue on the full box, the diagonal vanishes on the
     # resonant orbit and the tiny kernel cannot compensate
     jt = (1, 1)
     a = 1e-8
     u = QPSeries.delta(1, a / 2, jt)
     E = symbol(jt, GOOD_LAM)
-    T = assemble(u, E, GOOD_LAM, None, Region.full_box(3), p=1)
-    rhs = np.ones(T.n)
+    region = Region.full_box(3)
+    red = ReducedOperator(kernel_series(u, 1), E, GOOD_LAM, region, canonical_sites(region, 1))
     with pytest.raises(SingularOperator):
-        solve_linear(T, rhs)
-
-
-def test_solve_linear_matches_dense_oracle():
-    rng = np.random.default_rng(1)
-    u = random_symmetric_series(1, rng, n_orbits=4, box_n=2, scale=0.05)
-    T = assemble(u, -2.0, GOOD_LAM, None, Region.full_box(5), p=1)
-    rhs = rng.normal(size=T.n)
-    w = solve_linear(T, rhs)
-    w_oracle = np.linalg.solve(T.to_dense(), rhs)
-    assert np.linalg.norm(w - w_oracle) <= 1e-11 * np.linalg.norm(w_oracle)
-    # residual contract, re-checked from outside
-    r = np.linalg.norm(apply(T, w) - rhs) / np.linalg.norm(rhs)
-    assert r <= 1e-12
+        red.solve(np.ones(red.n))
 
 
 def test_positive_definite_below_spectrum():
@@ -284,25 +254,18 @@ def test_greens_profile_finds_blocks_once(monkeypatch):
     assert prof.op_norm_inverse == linop.inverse_norm(real(T))
 
 
-@pytest.mark.parametrize("kind", ["solve_linear", "reduced"])
-def test_every_solve_finds_blocks_once(kind, monkeypatch):
-    # a solve finds the blocks once and its refinement steps reuse them;
-    # the first block solve is perturbed, so one refinement step runs
+def test_reduced_solve_assembles_its_matrix_once(monkeypatch):
+    # a solve assembles the matrix once and its refinement steps reuse it;
+    # the first LU solve is perturbed, so one refinement step runs
     u, E = seed_series(1, 0.05), symbol((1, 1), GOOD_LAM) - 0.6
-    if kind == "solve_linear":
-        T = assemble(u, E, GOOD_LAM, None, Region.full_box(4), p=1)
-        op, M, run = T, T.to_dense(), lambda b: solve_linear(T, b)
-    else:
-        region = Region.box_minus(4, orbit((1, 1)))
-        red = ReducedOperator(kernel_series(u, 1), E, GOOD_LAM, region,
-                              canonical_sites(region, 1))
-        sq = np.sqrt(red.weights)
-        op, M, run = red, red.matrix(), lambda b: red.solve(b / sq) * sq
-    rhs = np.random.default_rng(3).standard_normal(M.shape[0])
-    expected = np.linalg.solve(M, rhs)
-    calls, passes = [], []
-    real_blocks, real_solve = type(op).blocks, np.linalg.solve
-    monkeypatch.setattr(type(op), "blocks", lambda o: calls.append((o.n, o.n)) or real_blocks(o))
+    region = Region.box_minus(4, orbit((1, 1)))
+    red = ReducedOperator(kernel_series(u, 1), E, GOOD_LAM, region, canonical_sites(region, 1))
+    sq = np.sqrt(red.weights)
+    rhs = np.random.default_rng(3).standard_normal(red.n)
+    builds, passes = [], []
+    real_matrix, real_solve = ReducedOperator.matrix, np.linalg.solve
+    monkeypatch.setattr(ReducedOperator, "matrix",
+                        lambda o: builds.append(o._matrix is None) or real_matrix(o))
 
     def first_pass_off(A, b):
         passes.append(A.shape)
@@ -310,16 +273,17 @@ def test_every_solve_finds_blocks_once(kind, monkeypatch):
         return x * (1.0 + 1e-6) if len(passes) == 1 else x
 
     monkeypatch.setattr(np.linalg, "solve", first_pass_off)
-    w = run(rhs)
-    assert calls == [M.shape]
+    w = red.solve(rhs / sq) * sq
+    assert builds == [True]
     assert len(passes) >= 2
+    expected = real_solve(real_matrix(red), rhs)
     assert np.allclose(w, expected, rtol=1e-10, atol=1e-14 * np.max(np.abs(expected)))
 
 
 def test_diagonal_blocks_keep_tiny_entries():
     # the first-scale Newton matrix of d = 2, p = 2, a = 1e-3 couples its 3
-    # sites through entries near 5e-13; each is stored, so the 3 sites form
-    # one block (csgraph would drop them from a dense copy, |x| <= 1e-8)
+    # sites through entries near 5e-13; each is stored (csgraph would drop
+    # them from a dense copy, |x| <= 1e-8)
     cfg = ProblemConfig(d=2, p=2, a=1e-3, jtilde=GOOD_JT_D2, lam=GOOD_LAM_D2, M=3)
     u, _ = initial_guess(cfg)
     red = ReducedOperator(kernel_series(u, cfg.p), q_update(u, cfg), cfg.lam,
@@ -328,9 +292,6 @@ def test_diagonal_blocks_keep_tiny_entries():
     M = red.matrix()
     off = M[~np.eye(3, dtype=bool)]
     assert np.all(off != 0.0) and np.max(np.abs(off)) < 1e-12
-    [(rows, A)] = red.blocks()
-    assert rows.tolist() == [[0, 1, 2]]
-    assert np.array_equal(A[0], M)
 
 
 @pytest.mark.parametrize("case", ["survey-d1", "theta-d1", "construct-d2"])
@@ -347,7 +308,7 @@ def test_coset_blocks_are_the_connected_components(case):
     cfg, N = {"survey-d1": (d1, 16), "theta-d1": (d1, 12), "construct-d2": (d2, 4)}[case]
     rec = solve(replace(cfg, precheck=False))
     T = assemble(rec.u, rec.E, cfg.lam, None, Region.box_minus(N, orbit(cfg.jtilde)), cfg.p)
-    index = T.site_index()
+    index = row_index(T.sites)
     pattern = [(i, index[src]) for i, s in enumerate(map(tuple, T.sites.tolist()))
                for off in T.kernel.coeffs
                if (src := tuple(a - b for a, b in zip(s, off))) in index]
@@ -430,7 +391,8 @@ def test_greens_profile_rejects_non_finite_block_inverse(bad, monkeypatch):
 
 def test_exactly_singular_block():
     # zero kernel: T is diagonal, and at theta = 0.5 its j = 0 entry
-    # (0 + 0.5)^2 - 0.25 is exactly 0
+    # (0 + 0.5)^2 - 0.25 is exactly 0; the reduced matrix at theta = 0 is
+    # diagonal too, and E the symbol of a listed site zeroes that site's entry
     u, E, region = QPSeries.zero(1), 0.25, Region.full_box(2)
     T = assemble(u, E, GOOD_LAM, (0.5,), region, p=1)
     assert linop.inverse_norm(T.blocks()) == math.inf
@@ -439,8 +401,12 @@ def test_exactly_singular_block():
     assert len(at) == 1 and res.bad[at[0]] and res.inv_norms[at[0]] == math.inf
     with pytest.raises(SingularOperator):
         greens_profile(T)
+    sites = canonical_sites(region, 1)
+    E_site = float(lattice.symbol_array(sites[3:4], GOOD_LAM)[0])
+    red = ReducedOperator(kernel_series(u, 1), E_site, GOOD_LAM, region, sites)
+    assert red.matrix()[3, 3] == 0.0
     with pytest.raises(SingularOperator, match="singular block"):
-        solve_linear(T, np.ones(T.n))
+        red.solve(np.ones(red.n))
 
 
 def _reduced_action(red):
@@ -474,10 +440,10 @@ def test_reduced_operator_matches_full_on_symmetric_vectors():
     # random symmetric vector via a random series
     w = random_symmetric_series(1, rng, n_orbits=5, box_n=3)
     v_full = np.array([w.get(tuple(map(int, s))) for s in T.sites])
-    y_full = apply(T, v_full)
+    y_full = T.to_dense() @ v_full
     v_canon = np.array([w.get(tuple(map(int, s))) for s in red.sites])
     y_canon = _reduced_action(red) @ v_canon
-    idx = T.site_index()
+    idx = row_index(T.sites)
     for row, s in enumerate(red.sites):
         assert y_canon[row] == pytest.approx(y_full[idx[tuple(map(int, s))]], rel=1e-12, abs=1e-14)
 
@@ -501,7 +467,7 @@ def test_reduced_solve_matches_full_solve():
     w_series = red.solve_series(rhs)
     T = assemble(u, -1.2, GOOD_LAM, None, region, p=1)
     rhs_full = np.array([rhs.get(tuple(map(int, s))) for s in T.sites])
-    w_full = solve_linear(T, rhs_full)
+    w_full = np.linalg.solve(T.to_dense(), rhs_full)
     for i, s in enumerate(T.sites):
         assert w_series.get(tuple(map(int, s))) == pytest.approx(w_full[i], rel=1e-10, abs=1e-14)
 
@@ -541,7 +507,7 @@ def test_reduced_solve_guards_the_coupled_set():
 
 
 def test_newton_increment_solves_linearized_equation():
-    # apply(assemble(u, ...), delta) + F(u) vanishes on the solve region
+    # assemble(u, ...) applied to delta, plus F(u), vanishes on the solve region
     # after an exact Newton step, to solver tolerance
     from qpwave.solver import ProblemConfig, initial_guess, newton_step, q_update, residual
 
@@ -554,7 +520,7 @@ def test_newton_increment_solves_linearized_equation():
     F = residual(u0, E1, GOOD_LAM, cfg.p)
     d_vec = np.array([delta.get(tuple(map(int, s))) for s in T.sites])
     f_vec = np.array([F.get(tuple(map(int, s))) for s in T.sites])
-    defect = np.linalg.norm(apply(T, d_vec) + f_vec)
+    defect = np.linalg.norm(T.to_dense() @ d_vec + f_vec)
     assert defect <= 1e-13 * max(np.linalg.norm(f_vec), 1e-30)
 
 
@@ -571,6 +537,10 @@ def test_reduced_solve_matches_dense_oracle():
         1, {tuple(map(int, s)): float(x) for s, x in zip(red.sites, w_vec) if x != 0.0})
     diff = w.add(w_oracle.scale(-1.0)).l2_norm()
     assert diff <= 1e-11 * max(w_oracle.l2_norm(), 1e-30)
+    # residual contract, re-checked from outside
+    w_rows = np.array([w.get(tuple(map(int, s))) for s in red.sites])
+    r = np.linalg.norm(_reduced_action(red) @ w_rows - rhs_vec) / np.linalg.norm(rhs_vec)
+    assert r <= 1e-12
 
 
 def _assert_matches_oracle(M, M_def):
@@ -590,7 +560,7 @@ def test_reduced_matrix_matches_definition(d, N, lam, jt, p):
     sites = [j for j in site_tuples(region, d) if is_canonical(j)]
     assert [tuple(map(int, s)) for s in red.sites] == sites
     M_def = assembly_oracle(sites, [symbol(j, lam) + 0.7 for j in sites], red.kernel,
-                            region.contains, rep=canonical,
+                            partial(contains, region), rep=canonical,
                             weights=[len(orbit(j)) for j in sites])
     _assert_matches_oracle(red.matrix(), M_def)
 

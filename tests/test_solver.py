@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import (GOOD_JT, GOOD_JT_D2, GOOD_LAM, GOOD_LAM_D2, brute_conv_power, count_convolutions, evaluate,
-                     seed_series)
+from helpers import (GOOD_JT, GOOD_JT_D2, GOOD_LAM, GOOD_LAM_D2, brute_conv_power, contains,
+                     count_convolutions, evaluate, seed_series)
 from qpwave import lattice, linop, solver
 from qpwave.lattice import Region, is_canonical, orbit, symbol
 from qpwave.series import QPSeries
@@ -401,7 +401,7 @@ def fixed_point_solution(cfg, damping=0.8, sweeps=400, tol=1e-14):
         E = q_update(u, cfg, power=power)
         new = dict(u.coeffs)
         for j, v in power.coeffs.items():
-            if j in S or not box.contains(j):
+            if j in S or not contains(box, j):
                 continue
             denom = symbol(j, cfg.lam) - E
             new[j] = (1 - damping) * new.get(j, 0.0) + damping * v / denom
