@@ -191,6 +191,12 @@ def test_help_exits_zero(capsys):
         assert sub in out
 
 
+def test_sweep_lambda_help_says_each_sample_draws_its_own_lambda(capsys):
+    assert cli.main(["sweep-lambda", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "recorded in report.json's config, but every sample draws its own frequency vector" in out
+
+
 def test_config_file_composition(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({

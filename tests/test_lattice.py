@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -269,6 +270,17 @@ def test_validate_frequency_bounds():
     with pytest.raises(ValueError):
         lattice.validate_frequency((1.0, 1.5))
     assert lattice.validate_frequency((0.51, 1.49)) == (0.51, 1.49)
+
+
+def test_region_is_its_scale_and_excluded_set():
+    # a Region is (N, S), the whole box when S is empty
+    assert [f.name for f in dataclasses.fields(Region)] == ["N", "S"]
+    assert Region.full_box(3) == Region(3) == Region.box_minus(3, [])
+    region = Region.box_minus(3, [(1, 1), (-1, 1), (1, 1)])
+    assert region.S == ((-1, 1), (1, 1))
+    pts = np.array(list(itertools.product(range(-4, 5), repeat=2)))
+    for reg in (Region.full_box(3), region):
+        assert reg.contains_array(pts).tolist() == [contains(reg, j) for j in pts.tolist()]
 
 
 def _max_minor_gcd(vectors) -> int:

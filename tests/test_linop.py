@@ -114,6 +114,54 @@ def test_reduced_solve_singular_at_resonance():
         red.solve(np.ones(red.n))
 
 
+def test_dense_solve_matches_dense_oracle():
+    # the one solve routine, on a full operator's dense matrix
+    rng = np.random.default_rng(1)
+    u = random_symmetric_series(1, rng, n_orbits=4, box_n=2, scale=0.05)
+    T = assemble(u, -2.0, GOOD_LAM, None, Region.full_box(5), p=1)
+    A = T.to_dense()
+    rhs = rng.normal(size=T.n)
+    w = linop._solve(A, rhs, 1e-13)
+    w_oracle = np.linalg.solve(A, rhs)
+    assert np.linalg.norm(w - w_oracle) <= 1e-11 * np.linalg.norm(w_oracle)
+    # residual contract, re-checked from outside
+    r = np.linalg.norm(A @ w - rhs) / np.linalg.norm(rhs)
+    assert r <= 1e-12
+
+
+def test_dense_solve_of_zero_rhs_factors_nothing(monkeypatch):
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: pytest.fail("factorized"))
+    assert linop._solve(np.eye(3), np.zeros(3), 1e-13).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_dense_solve_floor_uses_the_largest_row_sum():
+    # A factorizes, but its tiny pivot leaves no significant digits; the
+    # norm estimate is the largest absolute row sum, 7 (columns give 4,
+    # the 2-norm about 5)
+    A = np.array([[3.0, -4.0], [0.0, 1e-12]])
+    rhs = np.array([0.0, 1.0])
+    floor = 8.0 * np.finfo(float).eps * 7.0 * np.linalg.norm(np.linalg.solve(A, rhs))
+    assert floor > linop.SINGULAR_FLOOR
+    with pytest.raises(SingularOperator, match=f"no significant digits \\(residual floor {floor:.3e}\\)"):
+        linop._solve(A, rhs, 1e-13)
+
+
+def test_dense_solve_rejects_a_stalled_refinement(monkeypatch):
+    # every LU pass is off by the same vector, so a refinement step cannot
+    # shrink the residual and the contract stays violated
+    real_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: real_solve(A, b) + 1e-3)
+    with pytest.raises(SingularOperator, match="residual contract violated"):
+        linop._solve(np.diag([2.0, 3.0, 5.0]), np.ones(3), 1e-13)
+
+
+def test_dense_solve_rejects_non_finite_values():
+    # a subnormal pivot is not exactly zero, so LU succeeds, but 1 / 1e-310
+    # overflows
+    with pytest.raises(SingularOperator, match="non-finite"):
+        linop._solve(np.diag([1e-310, 1.0]), np.ones(2), 1e-13)
+
+
 def test_positive_definite_below_spectrum():
     E = -1.0  # below min of the symbol on any box
     T = assemble(QPSeries.zero(1), E, GOOD_LAM, None, Region.full_box(4), p=1)
